@@ -453,16 +453,137 @@ analyzeParallelPlan(const ParallelPlan &plan)
 // cannot drift apart silently.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/** Region name of tensor @p k of a layout role: the bare role when the
+ * layout names one tensor (the parent form), "role:k" otherwise — the
+ * names the split dispatchers bind for shadow validation. */
+std::string
+tensorRegionName(const char *role, int k, int count)
+{
+    return count == 1 ? std::string(role)
+                      : std::string(role) + ":" + std::to_string(k);
+}
+
+/** A private scratch region owned by the next item of @p plan. */
+int
+pushArena(ParallelPlan &plan, int64_t floats)
+{
+    ParallelRegion arena;
+    arena.name = "arena:" + std::to_string(plan.items.size());
+    arena.size = floats;
+    arena.owner = static_cast<int64_t>(plan.items.size());
+    plan.regions.push_back(arena);
+    return static_cast<int>(plan.regions.size()) - 1;
+}
+
+void
+pushReadWrite(ParallelItem &item, int region, const StridedSpan &span)
+{
+    ParallelAccess w;
+    w.region = region;
+    w.write = true;
+    w.span = span;
+    item.accesses.push_back(w);
+    ParallelAccess r = w;
+    r.write = false;
+    item.accesses.push_back(r);
+}
+
+/** Per-tensor float extents of a layout's input (@p input) or output
+ * tensors for @p n images of @p ch channels. */
+std::vector<int64_t>
+layoutTensorSizes(const SplitConvLayout &l, int64_t n, int64_t ch,
+                  bool input)
+{
+    std::vector<int64_t> sizes(static_cast<size_t>(
+        input ? l.inputTensors() : l.outputTensors()));
+    for (const SplitConvPatch &p : l.patches) {
+        const int k = input ? p.in_tensor : p.out_tensor;
+        sizes[static_cast<size_t>(k)] =
+            input ? n * ch * p.ih * p.iw : n * ch * p.out_h * p.out_w;
+    }
+    return sizes;
+}
+
+/** Offset of patch @p p's input rectangle hull in its tensor for
+ * image @p in, and the hull's length: channel 0's first float through
+ * channel c-1's last, restricted to view rows [r_lo, r_hi). */
+StridedSpan
+inputHull(const SplitConvPatch &p, int64_t c, int64_t in, int64_t r_lo,
+          int64_t r_hi)
+{
+    const int64_t img = in * c * p.ih * p.iw;
+    return StridedSpan::interval(
+        img + (p.view.r0 + r_lo) * p.iw + p.view.c0,
+        (c - 1) * p.ih * p.iw + (r_hi - 1 - r_lo) * p.iw + p.view.iw);
+}
+
+/** Patch @p p's output block rows [oy0, oy1) of every channel, image
+ * @p in. */
+StridedSpan
+outputBlock(const SplitConvPatch &p, int64_t oc, int64_t in, int64_t oy0,
+            int64_t oy1)
+{
+    const int64_t spatial = p.out_h * p.out_w;
+    return {in * oc * spatial + (p.oy0 + oy0) * p.out_w + p.ox0,
+            oc,
+            spatial,
+            oy1 - oy0,
+            p.out_w,
+            p.outW()};
+}
+
+/** One band's rows of a patch row: the parent form writes them as a
+ * single full-width span per channel, the patch form as one block per
+ * patch. */
+void
+pushBandOutputs(ParallelItem &item, const SplitConvLayout &l,
+                const SplitBandItem &band, int64_t oc, int64_t in,
+                int region0, bool write)
+{
+    if (l.parentForm()) {
+        const SplitConvPatch &p0 = l.at(band.hi, 0);
+        const int64_t spatial = p0.out_h * p0.out_w;
+        ParallelAccess a;
+        a.region = region0;
+        a.write = write;
+        a.span = {in * oc * spatial + (p0.oy0 + band.oy0) * p0.out_w, oc,
+                  spatial, 1, 0, (band.oy1 - band.oy0) * p0.out_w};
+        item.accesses.push_back(a);
+        return;
+    }
+    for (int wi = 0; wi < l.wp; ++wi) {
+        const SplitConvPatch &p = l.at(band.hi, wi);
+        ParallelAccess a;
+        a.region = region0 + p.out_tensor;
+        a.write = write;
+        a.span = outputBlock(p, oc, in, band.oy0, band.oy1);
+        item.accesses.push_back(a);
+    }
+}
+
+} // namespace
+
 ParallelPlan
 buildSplitConvPlan(int64_t n, int64_t c, int64_t ih, int64_t iw,
                    int64_t oc, const Window2d &win,
                    const SplitScheme2d &scheme)
 {
+    return buildSplitConvPlan(n, c, oc,
+                              splitConvParentLayout(win, ih, iw, scheme));
+}
+
+ParallelPlan
+buildSplitConvPlan(int64_t n, int64_t c, int64_t oc,
+                   const SplitConvLayout &layout)
+{
     ParallelPlan plan;
     plan.name = "split_conv";
-    const int64_t out_h = scheme.h.pieces.back().out_end;
-    const int64_t out_w = scheme.w.pieces.back().out_end;
+    const SplitConvLayout &l = layout;
+    const Window2d &win = l.patches.at(0).win;
     const int64_t krows = c * win.kh * win.kw;
+    const int64_t width = l.colStart(l.wp);
 
     // The panel region covers whichever packed layout the dispatcher
     // picks (im2col A panels or the 16 Winograd U matrices) — the
@@ -471,113 +592,87 @@ buildSplitConvPlan(int64_t n, int64_t c, int64_t ih, int64_t iw,
         std::max(gemmPackedASize(oc, krows),
                  winogradPackedUSize(oc, c));
 
-    ParallelRegion out_region;
-    out_region.name = "output";
-    out_region.size = n * oc * out_h * out_w;
-    out_region.exact_cover = true;
-    plan.regions.push_back(out_region);
-
-    ParallelRegion in_region;
-    in_region.name = "input";
-    in_region.size = n * c * ih * iw;
-    in_region.read_only = true;
-    plan.regions.push_back(in_region);
-
+    // Regions: outputs [0, n_out), inputs [n_out, n_out + n_in), the
+    // panels after them; the parent form is output 0, input 1,
+    // panels 2.
+    const std::vector<int64_t> out_sizes =
+        layoutTensorSizes(l, n, oc, false);
+    const std::vector<int64_t> in_sizes =
+        layoutTensorSizes(l, n, c, true);
+    const int n_out = static_cast<int>(out_sizes.size());
+    const int n_in = static_cast<int>(in_sizes.size());
+    for (int k = 0; k < n_out; ++k) {
+        ParallelRegion r;
+        r.name = tensorRegionName("output", k, n_out);
+        r.size = out_sizes[static_cast<size_t>(k)];
+        r.exact_cover = true;
+        plan.regions.push_back(r);
+    }
+    for (int k = 0; k < n_in; ++k) {
+        ParallelRegion r;
+        r.name = tensorRegionName("input", k, n_in);
+        r.size = in_sizes[static_cast<size_t>(k)];
+        r.read_only = true;
+        plan.regions.push_back(r);
+    }
+    const int panel_region = n_out + n_in;
     ParallelRegion w_region;
     w_region.name = "weight_panels";
     w_region.size = panel_floats;
     w_region.read_only = true;
     plan.regions.push_back(w_region);
 
-    const std::vector<SplitBandItem> bands =
-        splitConvBandItems(scheme.h);
+    const std::vector<SplitBandItem> bands = splitConvBandItems(l);
     int64_t max_band_rows = 0;
     for (const SplitBandItem &b : bands)
         max_band_rows = std::max(max_band_rows, b.oy1 - b.oy0);
-    const int64_t max_band_cols = max_band_rows * out_w;
+    const int64_t max_band_cols = max_band_rows * width;
     const int64_t arena_floats =
-        krows * max_band_cols + gemmPackedBSize(krows, max_band_cols);
+        krows * max_band_cols + gemmPackedBSize(krows, max_band_cols) +
+        (l.parentForm() ? 0 : oc * max_band_cols);
 
     const int64_t n_bands = static_cast<int64_t>(bands.size());
     for (int64_t i = 0; i < n * n_bands; ++i) {
         const int64_t in = i / n_bands;
         const SplitBandItem &band =
             bands[static_cast<size_t>(i % n_bands)];
-        const SplitPiece1d &ph =
-            scheme.h.pieces[static_cast<size_t>(band.hi)];
 
         // Every item owns a private staging region (its worker's
         // scratch-arena scope); nothing else may touch it.
-        ParallelRegion arena;
-        {
-            std::ostringstream os;
-            os << "arena:" << i;
-            arena.name = os.str();
-        }
-        arena.size = arena_floats;
-        arena.owner = i;
-        plan.regions.push_back(arena);
-        const int arena_region =
-            static_cast<int>(plan.regions.size()) - 1;
-
+        const int arena_region = pushArena(plan, arena_floats);
         ParallelItem item;
-        {
-            std::ostringstream os;
-            os << "img" << in << ":band" << band.hi << "."
-               << band.oy0;
-            item.name = os.str();
-        }
+        item.name = "img" + std::to_string(in) + ":band" +
+                    std::to_string(band.hi) + "." +
+                    std::to_string(band.oy0);
         item.epoch = 0; // one parallelFor = one barrier group
 
-        // The band writes parent output rows
-        // [out_start + oy0, out_start + oy1) of every channel, full
-        // width (all width patches of the group), at the parent
-        // channel stride.
-        ParallelAccess wout;
-        wout.region = 0;
-        wout.write = true;
-        wout.span = {in * oc * out_h * out_w +
-                         (ph.out_start + band.oy0) * out_w,
-                     oc, out_h * out_w, 1, 0,
-                     (band.oy1 - band.oy0) * out_w};
-        item.accesses.push_back(wout);
+        // The band writes output rows [oy0, oy1) of every width patch
+        // of its patch row, every channel.
+        pushBandOutputs(item, l, band, oc, in, 0, true);
 
         // Halo reads: each width patch's input rectangle, modeled as
         // the conservative contiguous hull from the rectangle's
         // first float (channel 0) to its last (channel c-1) — the
         // same hull the shadow recorder logs, and provably inside
         // the image.
-        for (int wi = 0; wi < scheme.w.parts(); ++wi) {
-            const SplitPiece1d &pw =
-                scheme.w.pieces[static_cast<size_t>(wi)];
+        for (int wi = 0; wi < l.wp; ++wi) {
+            const SplitConvPatch &p = l.at(band.hi, wi);
             ParallelAccess rin;
-            rin.region = 1;
-            const int64_t first =
-                ph.in_start * iw + pw.in_start;
-            const int64_t last =
-                (c - 1) * ih * iw + (ph.in_start + ph.inLen() - 1) * iw +
-                pw.in_start + pw.inLen();
-            rin.span = StridedSpan::interval(
-                in * c * ih * iw + first, last - first);
+            rin.region = n_out + p.in_tensor;
+            rin.span = inputHull(p, c, in, 0, p.view.ih);
             item.accesses.push_back(rin);
         }
 
         // Weight panels are shared read-only by every item.
         ParallelAccess rw_panels;
-        rw_panels.region = 2;
+        rw_panels.region = panel_region;
         rw_panels.span = StridedSpan::interval(0, panel_floats);
         item.accesses.push_back(rw_panels);
 
-        // Column staging lives in the item's own arena region.
-        ParallelAccess warena;
-        warena.region = arena_region;
-        warena.write = true;
-        warena.span = StridedSpan::interval(0, arena_floats);
-        item.accesses.push_back(warena);
-        ParallelAccess rarena = warena;
-        rarena.write = false;
-        item.accesses.push_back(rarena);
-
+        // Column staging (and the patch form's band buffer) lives in
+        // the item's own arena region.
+        pushReadWrite(item, arena_region,
+                      StridedSpan::interval(0, arena_floats));
         plan.items.push_back(std::move(item));
     }
     return plan;
@@ -657,81 +752,221 @@ buildSplitConvBackwardPlan(int64_t n, int64_t c, int64_t ih,
                            int64_t iw, int64_t oc, const Window2d &win,
                            const SplitScheme2d &scheme)
 {
-    ParallelPlan plan;
-    plan.name = "split_conv_backward";
-    const int64_t out_h = scheme.h.pieces.back().out_end;
-    const int64_t out_w = scheme.w.pieces.back().out_end;
-    const int64_t krows = c * win.kh * win.kw;
+    return buildSplitConvBackwardPlan(
+        n, c, oc, splitConvParentLayout(win, ih, iw, scheme));
+}
+
+namespace {
+
+/** Shared head of the backward plans: grad_x per input tensor,
+ * grad_out per output tensor, input per input tensor, then the
+ * panels, grad_w and grad_b. The parent form numbers them 0..5. */
+struct BackwardRegions
+{
+    int gx0 = 0, go0 = 0, x0 = 0, panels = 0, grad_w = 0, grad_b = 0;
+    std::vector<int64_t> in_sizes, out_sizes;
+};
+
+BackwardRegions
+pushBackwardRegions(ParallelPlan &plan, const SplitConvLayout &l,
+                    int64_t n, int64_t c, int64_t oc, int64_t krows)
+{
+    BackwardRegions r;
+    r.in_sizes = layoutTensorSizes(l, n, c, true);
+    r.out_sizes = layoutTensorSizes(l, n, oc, false);
+    const int n_in = static_cast<int>(r.in_sizes.size());
+    const int n_out = static_cast<int>(r.out_sizes.size());
+    auto push = [&](const std::string &name, int64_t size) {
+        ParallelRegion reg;
+        reg.name = name;
+        reg.size = size;
+        plan.regions.push_back(reg);
+        return &plan.regions.back();
+    };
+    r.gx0 = static_cast<int>(plan.regions.size());
+    for (int k = 0; k < n_in; ++k)
+        push(tensorRegionName("grad_x", k, n_in),
+             r.in_sizes[static_cast<size_t>(k)])
+            ->ordered_accum = true; // halo scatter-adds overlap
+    r.go0 = static_cast<int>(plan.regions.size());
+    for (int k = 0; k < n_out; ++k)
+        push(tensorRegionName("grad_out", k, n_out),
+             r.out_sizes[static_cast<size_t>(k)])
+            ->read_only = true;
+    r.x0 = static_cast<int>(plan.regions.size());
+    for (int k = 0; k < n_in; ++k)
+        push(tensorRegionName("input", k, n_in),
+             r.in_sizes[static_cast<size_t>(k)])
+            ->read_only = true;
+    r.panels = static_cast<int>(plan.regions.size());
     // The dgrad operand: W^T packed A panels (krows x oc), cached per
     // (layer, split) like the forward panels.
+    push("weight_panels", gemmPackedASize(krows, oc))->read_only = true;
+    r.grad_w = static_cast<int>(plan.regions.size());
+    // Reductions chain in serial order.
+    push("grad_w", oc * krows)->ordered_accum = true;
+    r.grad_b = static_cast<int>(plan.regions.size());
+    push("grad_b", oc)->ordered_accum = true;
+    return r;
+}
+
+/** The dgrad scatter of one band: each width patch's band-restricted
+ * write hull in its grad_x tensor, as col2imViewStrided claims it —
+ * patch rows [iy_lo, iy_hi) reachable from output rows [oy0, oy1),
+ * channel 0's first float through channel c-1's last. */
+void
+pushDgradScatter(ParallelItem &item, const SplitConvLayout &l,
+                 const SplitBandItem &band, int64_t c, int64_t in,
+                 int gx0)
+{
+    for (int wi = 0; wi < l.wp; ++wi) {
+        const SplitConvPatch &p = l.at(band.hi, wi);
+        const int64_t iy_lo =
+            std::max<int64_t>(0, band.oy0 * p.win.sh - p.win.ph_b);
+        const int64_t iy_hi = std::min<int64_t>(
+            p.view.ih, (band.oy1 - 1) * p.win.sh - p.win.ph_b + p.win.kh);
+        if (iy_lo >= iy_hi)
+            continue;
+        ParallelAccess wgx;
+        wgx.region = gx0 + p.in_tensor;
+        wgx.write = true;
+        wgx.span = inputHull(p, c, in, iy_lo, iy_hi);
+        item.accesses.push_back(wgx);
+    }
+}
+
+/**
+ * The patch-form backward (splitConvBackwardPatchBands): dgrad items
+ * per (image, band), a worker running an image's bands ascending and
+ * scattering into each width patch's grad_x tensor; then one wgrad
+ * item per output-channel block (splitConvWgradBlocks), which owns
+ * its rows of grad_w and grad_b.
+ */
+ParallelPlan
+buildPatchFormBackwardPlan(int64_t n, int64_t c, int64_t oc,
+                           const SplitConvLayout &l)
+{
+    ParallelPlan plan;
+    plan.name = "split_conv_backward";
+    const Window2d &win = l.patches.at(0).win;
+    const int64_t krows = c * win.kh * win.kw;
+    const int64_t width = l.colStart(l.wp);
+    const BackwardRegions r = pushBackwardRegions(plan, l, n, c, oc, krows);
+
+    const std::vector<SplitBandItem> bands = splitConvBandItems(l);
+    const int64_t n_bands = static_cast<int64_t>(bands.size());
+    int64_t max_band_cols = 0;
+    for (const SplitBandItem &b : bands)
+        max_band_cols = std::max(max_band_cols, (b.oy1 - b.oy0) * width);
+    const int64_t dgrad_floats = oc * max_band_cols +
+                                 krows * max_band_cols +
+                                 gemmPackedBSize(oc, max_band_cols);
+
+    // dgrad items: epoch = band index (per-image serial order).
+    for (int64_t i = 0; i < n * n_bands; ++i) {
+        const int64_t in = i / n_bands;
+        const int64_t bi = i % n_bands;
+        const SplitBandItem &band = bands[static_cast<size_t>(bi)];
+        const int arena = pushArena(plan, dgrad_floats);
+        ParallelItem item;
+        item.name = "img" + std::to_string(in) + ":dgrad" +
+                    std::to_string(band.hi) + "." +
+                    std::to_string(band.oy0);
+        item.epoch = bi;
+        item.seq = i;
+        pushDgradScatter(item, l, band, c, in, r.gx0);
+        pushBandOutputs(item, l, band, oc, in, r.go0, false);
+        ParallelAccess rw_panels;
+        rw_panels.region = r.panels;
+        rw_panels.span =
+            StridedSpan::interval(0, gemmPackedASize(krows, oc));
+        item.accesses.push_back(rw_panels);
+        pushReadWrite(item, arena, StridedSpan::interval(0, dgrad_floats));
+        plan.items.push_back(std::move(item));
+    }
+
+    // wgrad: one item per output-channel block, after the dgrad
+    // items. A block reads every patch's input and its own rows of
+    // every grad_out tensor, and owns its rows of grad_w / grad_b.
+    int64_t max_patch_cols = 0;
+    for (const SplitConvPatch &p : l.patches)
+        max_patch_cols = std::max(
+            max_patch_cols,
+            std::min(p.outH(), kSplitConvRowBand) * p.outW());
+    const std::vector<SplitWgradBlock> blocks = splitConvWgradBlocks(oc);
+    for (const SplitWgradBlock &blk : blocks) {
+        const int64_t m = blk.o1 - blk.o0;
+        const int64_t wgrad_floats =
+            krows * max_patch_cols +
+            gemmPackedBSize(max_patch_cols, krows) + oc +
+            gemmPackedASize(m, max_patch_cols) + m * krows;
+        const int arena = pushArena(plan, wgrad_floats);
+        ParallelItem item;
+        item.name = "wgrad:o" + std::to_string(blk.o0);
+        item.epoch = n_bands;
+        item.seq = n * n_bands + blk.o0;
+        for (const SplitConvPatch &p : l.patches)
+            for (int64_t in = 0; in < n; ++in) {
+                ParallelAccess rin;
+                rin.region = r.x0 + p.in_tensor;
+                rin.span = inputHull(p, c, in, 0, p.view.ih);
+                item.accesses.push_back(rin);
+                const int64_t spatial = p.out_h * p.out_w;
+                ParallelAccess rgo;
+                rgo.region = r.go0 + p.out_tensor;
+                rgo.span = {(in * oc + blk.o0) * spatial, m, spatial, 1,
+                            0, spatial};
+                item.accesses.push_back(rgo);
+            }
+        pushReadWrite(item, r.grad_w,
+                      StridedSpan::interval(blk.o0 * krows, m * krows));
+        pushReadWrite(item, r.grad_b, StridedSpan::interval(blk.o0, m));
+        pushReadWrite(item, arena, StridedSpan::interval(0, wgrad_floats));
+        plan.items.push_back(std::move(item));
+    }
+    return plan;
+}
+
+} // namespace
+
+ParallelPlan
+buildSplitConvBackwardPlan(int64_t n, int64_t c, int64_t oc,
+                           const SplitConvLayout &layout)
+{
+    if (!layout.parentForm())
+        return buildPatchFormBackwardPlan(n, c, oc, layout);
+    ParallelPlan plan;
+    plan.name = "split_conv_backward";
+    const SplitConvLayout &l = layout;
+    const Window2d &win = l.patches.at(0).win;
+    const int64_t krows = c * win.kh * win.kw;
+    const int64_t width = l.colStart(l.wp);
     const int64_t panel_floats = gemmPackedASize(krows, oc);
-
-    ParallelRegion gx_region;
-    gx_region.name = "grad_x";
-    gx_region.size = n * c * ih * iw;
-    gx_region.ordered_accum = true; // halo scatter-adds overlap
-    plan.regions.push_back(gx_region);
-
-    ParallelRegion go_region;
-    go_region.name = "grad_out";
-    go_region.size = n * oc * out_h * out_w;
-    go_region.read_only = true;
-    plan.regions.push_back(go_region);
-
-    ParallelRegion in_region;
-    in_region.name = "input";
-    in_region.size = n * c * ih * iw;
-    in_region.read_only = true;
-    plan.regions.push_back(in_region);
-
-    ParallelRegion w_region;
-    w_region.name = "weight_panels";
-    w_region.size = panel_floats;
-    w_region.read_only = true;
-    plan.regions.push_back(w_region);
-
-    ParallelRegion gw_region;
-    gw_region.name = "grad_w";
-    gw_region.size = oc * krows;
-    gw_region.ordered_accum = true; // reductions chain in image order
-    plan.regions.push_back(gw_region);
-
-    ParallelRegion gb_region;
-    gb_region.name = "grad_b";
-    gb_region.size = oc;
-    gb_region.ordered_accum = true;
-    plan.regions.push_back(gb_region);
+    const BackwardRegions r = pushBackwardRegions(plan, l, n, c, oc, krows);
 
     // Per-image partial accumulator: the wgrad panel product chains
     // across the image's bands (beta = 1), and the bias row sums land
     // in the tail — both under the worker's serial band order.
     const int64_t acc_floats = krows * oc + oc;
+    const int acc0 = static_cast<int>(plan.regions.size());
     for (int64_t in = 0; in < n; ++in) {
         ParallelRegion acc;
-        {
-            std::ostringstream os;
-            os << "wgrad_acc:img" << in;
-            acc.name = os.str();
-        }
+        acc.name = "wgrad_acc:img" + std::to_string(in);
         acc.size = acc_floats;
         acc.ordered_accum = true;
         plan.regions.push_back(acc);
     }
-    const int64_t acc_region0 = 6;
 
-    const std::vector<SplitBandItem> bands =
-        splitConvBandItems(scheme.h);
+    const std::vector<SplitBandItem> bands = splitConvBandItems(l);
     const int64_t n_bands = static_cast<int64_t>(bands.size());
-    int64_t max_band_rows = 0;
+    int64_t max_band_cols = 0;
     for (const SplitBandItem &b : bands)
-        max_band_rows = std::max(max_band_rows, b.oy1 - b.oy0);
-    const int64_t max_band_cols = max_band_rows * out_w;
+        max_band_cols = std::max(max_band_cols, (b.oy1 - b.oy0) * width);
     // Staged columns + gradient columns + the three per-band packs.
-    const int64_t arena_floats =
-        2 * krows * max_band_cols +
-        gemmPackedASize(krows, max_band_cols) +
-        gemmPackedBSize(max_band_cols, oc) +
-        gemmPackedBSize(oc, max_band_cols);
+    const int64_t arena_floats = 2 * krows * max_band_cols +
+                                 gemmPackedASize(krows, max_band_cols) +
+                                 gemmPackedBSize(max_band_cols, oc) +
+                                 gemmPackedBSize(oc, max_band_cols);
 
     // Band items. A worker owns a whole image and runs its bands
     // serially ascending; epoch encodes that per-image program order
@@ -741,132 +976,55 @@ buildSplitConvBackwardPlan(int64_t n, int64_t c, int64_t ih,
         const int64_t in = i / n_bands;
         const int64_t bi = i % n_bands;
         const SplitBandItem &band = bands[static_cast<size_t>(bi)];
-        const SplitPiece1d &ph =
-            scheme.h.pieces[static_cast<size_t>(band.hi)];
-
-        ParallelRegion arena;
-        {
-            std::ostringstream os;
-            os << "arena:" << i;
-            arena.name = os.str();
-        }
-        arena.size = arena_floats;
-        arena.owner = i;
-        plan.regions.push_back(arena);
-        const int arena_region =
-            static_cast<int>(plan.regions.size()) - 1;
-
+        const int arena = pushArena(plan, arena_floats);
         ParallelItem item;
-        {
-            std::ostringstream os;
-            os << "img" << in << ":band" << band.hi << "."
-               << band.oy0;
-            item.name = os.str();
-        }
+        item.name = "img" + std::to_string(in) + ":band" +
+                    std::to_string(band.hi) + "." +
+                    std::to_string(band.oy0);
         item.epoch = bi;
         item.seq = i;
-
-        for (int wi = 0; wi < scheme.w.parts(); ++wi) {
-            const SplitPiece1d &pw =
-                scheme.w.pieces[static_cast<size_t>(wi)];
-            const Window2d local =
-                patchWindow(win, scheme, band.hi, wi);
-
-            // dgrad scatter: the band-restricted write hull
-            // col2imViewStrided claims — patch rows [iy_lo, iy_hi)
-            // reachable from output rows [oy0, oy1), channel 0's
-            // first float through channel c-1's last.
-            const int64_t iy_lo = std::max<int64_t>(
-                0, band.oy0 * local.sh - local.ph_b);
-            const int64_t iy_hi = std::min<int64_t>(
-                ph.inLen(),
-                (band.oy1 - 1) * local.sh - local.ph_b + local.kh);
-            if (iy_lo < iy_hi) {
-                ParallelAccess wgx;
-                wgx.region = 0;
-                wgx.write = true;
-                wgx.span = StridedSpan::interval(
-                    in * c * ih * iw +
-                        (ph.in_start + iy_lo) * iw + pw.in_start,
-                    (c - 1) * ih * iw + (iy_hi - 1 - iy_lo) * iw +
-                        pw.inLen());
-                item.accesses.push_back(wgx);
-            }
-
-            // wgrad staging reads the same input hull the forward
-            // band reads.
+        pushDgradScatter(item, l, band, c, in, r.gx0);
+        // wgrad staging reads the same input hulls the forward band
+        // reads.
+        for (int wi = 0; wi < l.wp; ++wi) {
             ParallelAccess rin;
-            rin.region = 2;
-            const int64_t first = ph.in_start * iw + pw.in_start;
-            const int64_t last = (c - 1) * ih * iw +
-                                 (ph.in_start + ph.inLen() - 1) * iw +
-                                 pw.in_start + pw.inLen();
-            rin.span = StridedSpan::interval(
-                in * c * ih * iw + first, last - first);
+            rin.region = r.x0;
+            rin.span =
+                inputHull(l.at(band.hi, wi), c, in, 0,
+                          l.at(band.hi, wi).view.ih);
             item.accesses.push_back(rin);
         }
-
         // Both gradient GEMMs read the band's grad_out rows of every
-        // output channel at the parent channel stride.
-        ParallelAccess rgo;
-        rgo.region = 1;
-        rgo.span = {in * oc * out_h * out_w +
-                        (ph.out_start + band.oy0) * out_w,
-                    oc, out_h * out_w, 1, 0,
-                    (band.oy1 - band.oy0) * out_w};
-        item.accesses.push_back(rgo);
-
+        // output channel.
+        pushBandOutputs(item, l, band, oc, in, r.go0, false);
         ParallelAccess rw_panels;
-        rw_panels.region = 3;
+        rw_panels.region = r.panels;
         rw_panels.span = StridedSpan::interval(0, panel_floats);
         item.accesses.push_back(rw_panels);
-
         // The band chains the image's wgrad partial (beta = 1).
-        ParallelAccess wacc;
-        wacc.region = static_cast<int>(acc_region0 + in);
-        wacc.write = true;
-        wacc.span = StridedSpan::interval(0, krows * oc);
-        item.accesses.push_back(wacc);
-        ParallelAccess racc = wacc;
-        racc.write = false;
-        item.accesses.push_back(racc);
-
-        ParallelAccess warena;
-        warena.region = arena_region;
-        warena.write = true;
-        warena.span = StridedSpan::interval(0, arena_floats);
-        item.accesses.push_back(warena);
-        ParallelAccess rarena = warena;
-        rarena.write = false;
-        item.accesses.push_back(rarena);
-
+        pushReadWrite(item, static_cast<int>(acc0 + in),
+                      StridedSpan::interval(0, krows * oc));
+        pushReadWrite(item, arena, StridedSpan::interval(0, arena_floats));
         plan.items.push_back(std::move(item));
     }
 
     // Per-image bias item: row sums over the whole grad_out image
     // into the partial accumulator's tail, after the image's bands.
+    const int64_t img_out = r.out_sizes[0] / n;
     for (int64_t in = 0; in < n; ++in) {
         ParallelItem item;
-        {
-            std::ostringstream os;
-            os << "img" << in << ":bias";
-            item.name = os.str();
-        }
+        item.name = "img" + std::to_string(in) + ":bias";
         item.epoch = n_bands;
         item.seq = n * n_bands + in;
-
         ParallelAccess rgo;
-        rgo.region = 1;
-        rgo.span = StridedSpan::interval(
-            in * oc * out_h * out_w, oc * out_h * out_w);
+        rgo.region = r.go0;
+        rgo.span = StridedSpan::interval(in * img_out, img_out);
         item.accesses.push_back(rgo);
-
         ParallelAccess wacc;
-        wacc.region = static_cast<int>(acc_region0 + in);
+        wacc.region = static_cast<int>(acc0 + in);
         wacc.write = true;
         wacc.span = StridedSpan::interval(krows * oc, oc);
         item.accesses.push_back(wacc);
-
         plan.items.push_back(std::move(item));
     }
 
@@ -874,37 +1032,16 @@ buildSplitConvBackwardPlan(int64_t n, int64_t c, int64_t ih,
     // each wave — folds the partial into the shared grad_w / grad_b.
     for (int64_t in = 0; in < n; ++in) {
         ParallelItem item;
-        {
-            std::ostringstream os;
-            os << "img" << in << ":reduce";
-            item.name = os.str();
-        }
+        item.name = "img" + std::to_string(in) + ":reduce";
         item.epoch = n_bands + 1 + in;
         item.seq = n * n_bands + n + in;
-
         ParallelAccess racc;
-        racc.region = static_cast<int>(acc_region0 + in);
+        racc.region = static_cast<int>(acc0 + in);
         racc.span = StridedSpan::interval(0, acc_floats);
         item.accesses.push_back(racc);
-
-        ParallelAccess wgw;
-        wgw.region = 4;
-        wgw.write = true;
-        wgw.span = StridedSpan::interval(0, oc * krows);
-        item.accesses.push_back(wgw);
-        ParallelAccess rgw = wgw;
-        rgw.write = false;
-        item.accesses.push_back(rgw);
-
-        ParallelAccess wgb;
-        wgb.region = 5;
-        wgb.write = true;
-        wgb.span = StridedSpan::interval(0, oc);
-        item.accesses.push_back(wgb);
-        ParallelAccess rgb = wgb;
-        rgb.write = false;
-        item.accesses.push_back(rgb);
-
+        pushReadWrite(item, r.grad_w,
+                      StridedSpan::interval(0, oc * krows));
+        pushReadWrite(item, r.grad_b, StridedSpan::interval(0, oc));
         plan.items.push_back(std::move(item));
     }
     return plan;
@@ -985,6 +1122,34 @@ buildSplitPoolBackwardPlan(int64_t n, int64_t c, int64_t ih,
     return plan;
 }
 
+namespace {
+
+/** Append @p sub's regions and items to @p plan: region names get
+ * @p prefix, region indices and arena owners are rebased, and every
+ * item joins epoch @p epoch (a sub-plan that is one parallelFor). */
+void
+appendSubPlan(ParallelPlan &plan, const ParallelPlan &sub,
+              const std::string &prefix, int64_t epoch)
+{
+    const int region0 = static_cast<int>(plan.regions.size());
+    const int64_t item0 = static_cast<int64_t>(plan.items.size());
+    for (ParallelRegion r : sub.regions) {
+        r.name = prefix + r.name;
+        if (r.owner >= 0)
+            r.owner += item0;
+        plan.regions.push_back(std::move(r));
+    }
+    for (ParallelItem item : sub.items) {
+        item.name = prefix + item.name;
+        item.epoch = epoch;
+        for (ParallelAccess &a : item.accesses)
+            a.region += region0;
+        plan.items.push_back(std::move(item));
+    }
+}
+
+} // namespace
+
 ParallelPlan
 buildExecutorWavePlan(const Graph &graph, bool training)
 {
@@ -1007,42 +1172,74 @@ buildExecutorWavePlan(const Graph &graph, bool training)
     params.serial_stats = true;
     plan.regions.push_back(params);
 
-    const auto waves = computeExecutionWaves(graph);
-    for (size_t w = 0; w < waves.size(); ++w) {
-        for (NodeId id : waves[w]) {
-            const Node &n = graph.node(id);
-            ParallelItem item;
-            item.name = n.name.empty()
-                            ? "node " + std::to_string(id)
-                            : n.name;
-            item.epoch = static_cast<int64_t>(w);
+    auto item_name = [&](NodeId id) {
+        const Node &n = graph.node(id);
+        return n.name.empty() ? "node " + std::to_string(id) : n.name;
+    };
+    // One node's slot and parameter accesses, added to @p item.
+    auto add_node = [&](ParallelItem &item, NodeId id) {
+        const Node &n = graph.node(id);
+        ParallelAccess wout;
+        wout.region = 0;
+        wout.write = true;
+        wout.span = StridedSpan::interval(n.output, 1);
+        item.accesses.push_back(wout);
+        for (TensorId t : n.inputs) {
+            ParallelAccess rin;
+            rin.region = 0;
+            rin.span = StridedSpan::interval(t, 1);
+            item.accesses.push_back(rin);
+        }
+        // Parameter reads. Training-mode BN computes batch stats
+        // and never touches the running stats (params[2..3]) in
+        // its wave — those are written by the deferred updates
+        // below. Inference-mode BN reads them like any other
+        // parameter.
+        const size_t n_params = training && n.kind == OpKind::BatchNorm
+                                    ? std::min<size_t>(n.params.size(), 2)
+                                    : n.params.size();
+        for (size_t p = 0; p < n_params; ++p) {
+            ParallelAccess rp;
+            rp.region = 1;
+            rp.span = StridedSpan::interval(n.params[p], 1);
+            item.accesses.push_back(rp);
+        }
+    };
 
-            ParallelAccess wout;
-            wout.region = 0;
-            wout.write = true;
-            wout.span = StridedSpan::interval(n.output, 1);
-            item.accesses.push_back(wout);
-            for (TensorId t : n.inputs) {
-                ParallelAccess rin;
-                rin.region = 0;
-                rin.span = StridedSpan::interval(t, 1);
-                item.accesses.push_back(rin);
-            }
-            // Parameter reads. Training-mode BN computes batch stats
-            // and never touches the running stats (params[2..3]) in
-            // its wave — those are written by the deferred updates
-            // below. Inference-mode BN reads them like any other
-            // parameter.
-            const size_t n_params =
-                training && n.kind == OpKind::BatchNorm
-                    ? std::min<size_t>(n.params.size(), 2)
-                    : n.params.size();
-            for (size_t p = 0; p < n_params; ++p) {
-                ParallelAccess rp;
-                rp.region = 1;
-                rp.span = StridedSpan::interval(n.params[p], 1);
-                item.accesses.push_back(rp);
-            }
+    // Every item of a wave shares its epoch. A wave's conv groups run
+    // on the caller before its other nodes fan out, which only
+    // strengthens the modeled happens-before edges; so does the
+    // narrow-wave serial fallback. One plan covers every schedule.
+    const std::vector<ExecutionWave> waves =
+        computeExecutionSchedule(graph);
+    for (size_t w = 0; w < waves.size(); ++w) {
+        const int64_t epoch = static_cast<int64_t>(w);
+        for (const ConvGroup &g : waves[w].groups) {
+            // Slot level: the group is one unit reading every
+            // member's input and writing every member's output.
+            ParallelItem item;
+            item.name = item_name(g.nodes[0]) + ":group";
+            item.epoch = epoch;
+            for (NodeId id : g.nodes)
+                add_node(item, id);
+            plan.items.push_back(std::move(item));
+            // Band level: the band-fused call's image x band items
+            // over the members' own tensors, from the same band
+            // helper the kernel runs (batch modeled as min(n, 2)
+            // images, as in analyzeParallelExecution).
+            const Node &n0 = graph.node(g.nodes[0]);
+            const Shape &in = graph.tensor(n0.inputs[0]).shape;
+            appendSubPlan(plan,
+                          buildSplitConvPlan(
+                              std::min<int64_t>(in.dim(0), 2), in.dim(1),
+                              n0.out_channels, g.layout),
+                          item_name(g.nodes[0]) + ":group/", epoch);
+        }
+        for (NodeId id : waves[w].nodes) {
+            ParallelItem item;
+            item.name = item_name(id);
+            item.epoch = epoch;
+            add_node(item, id);
             plan.items.push_back(std::move(item));
         }
     }
@@ -1054,8 +1251,7 @@ buildExecutorWavePlan(const Graph &graph, bool training)
         // seq = its topological position; patch clones sharing one
         // running-stat parameter therefore write it in a fixed
         // serial order — the bitwise-determinism contract SA606
-        // enforces. The narrow-wave serial fallback leaves this
-        // phase untouched.
+        // enforces.
         int64_t serial_epoch = static_cast<int64_t>(waves.size());
         int64_t seq = 0;
         for (NodeId id : graph.topoOrder()) {
@@ -1063,10 +1259,7 @@ buildExecutorWavePlan(const Graph &graph, bool training)
             if (n.kind != OpKind::BatchNorm || n.params.size() < 4)
                 continue;
             ParallelItem item;
-            item.name = (n.name.empty()
-                             ? "node " + std::to_string(id)
-                             : n.name) +
-                        ":bn_update";
+            item.name = item_name(id) + ":bn_update";
             item.epoch = serial_epoch++;
             item.seq = seq++;
             for (size_t p = 2; p < 4; ++p) {

@@ -53,13 +53,16 @@
  *    [out_start_h, out_end_h) x [out_start_w, out_end_w) of every
  *    channel ({base, n1=c, s1=oh*ow, n2=outLen_h, s2=ow,
  *    len=outLen_w}).
- *  - buildExecutorWavePlan: the executor's dependency waves over
- *    tensor slots (slot-granular, `ordered`), parameter reads, and —
- *    in training mode — the deferred BN running-stat updates as
- *    their own post-barrier serial epochs (`serial_stats`). The
- *    narrow-wave serial fallback runs a wave's nodes on the caller
- *    in wave order, which only *strengthens* the modeled
- *    happens-before edges, so one plan covers both schedules.
+ *  - buildExecutorWavePlan: the executor's schedule
+ *    (computeExecutionSchedule) over tensor slots (slot-granular,
+ *    `ordered`), parameter reads, and — in training mode — the
+ *    deferred BN running-stat updates as their own post-barrier
+ *    serial epochs (`serial_stats`). Each patch-clone conv group is
+ *    one slot-level unit plus the image x band items of its
+ *    band-fused call over the members' own tensors. The narrow-wave
+ *    serial fallback and the caller-issued groups only *strengthen*
+ *    the modeled happens-before edges, so one plan covers every
+ *    schedule.
  *
  * analyzeParallelExecution() is the battery `scnn lint --parallel`
  * runs: the wave plan for the graph plus a split-conv/pool plan for
@@ -180,6 +183,15 @@ ParallelPlan buildSplitConvPlan(int64_t n, int64_t c, int64_t ih,
                                 const Window2d &win,
                                 const SplitScheme2d &scheme);
 
+/**
+ * Model the band-fused forward over any SplitConvLayout: the parent
+ * form (the overload above) or the patch form the executor runs for
+ * a group of patch clones, where each patch tensor is its own region
+ * ("input:k", "output:k").
+ */
+ParallelPlan buildSplitConvPlan(int64_t n, int64_t c, int64_t oc,
+                                const SplitConvLayout &layout);
+
 /** Model the fused split-pool paths (image x patch items). */
 ParallelPlan buildSplitPoolPlan(int64_t n, int64_t c, int64_t ih,
                                 int64_t iw, const Window2d &win,
@@ -202,6 +214,11 @@ ParallelPlan buildSplitConvBackwardPlan(int64_t n, int64_t c,
                                         int64_t ih, int64_t iw,
                                         int64_t oc, const Window2d &win,
                                         const SplitScheme2d &scheme);
+
+/** buildSplitConvBackwardPlan over any SplitConvLayout (per-tensor
+ * regions "grad_x:k", "grad_out:k", "input:k" in the patch form). */
+ParallelPlan buildSplitConvBackwardPlan(int64_t n, int64_t c, int64_t oc,
+                                        const SplitConvLayout &layout);
 
 /**
  * Model the fused split-pool backward paths: image x patch items

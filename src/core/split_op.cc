@@ -101,20 +101,160 @@ slicePatch(const Tensor &x, const SplitScheme2d &scheme, int hi, int wi)
 // path likewise reproduces the materializing Winograd path's bytes.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+std::vector<SplitBandItem>
+bandItemsForRows(const std::vector<int64_t> &row_lens)
+{
+    std::vector<SplitBandItem> bands;
+    for (size_t hi = 0; hi < row_lens.size(); ++hi)
+        for (int64_t oy0 = 0; oy0 < row_lens[hi];
+             oy0 += kSplitConvRowBand)
+            bands.push_back({static_cast<int>(hi), oy0,
+                             std::min(row_lens[hi],
+                                      oy0 + kSplitConvRowBand)});
+    return bands;
+}
+
+} // namespace
+
 std::vector<SplitBandItem>
 splitConvBandItems(const SplitScheme1d &h)
 {
-    std::vector<SplitBandItem> bands;
-    for (int hi = 0; hi < h.parts(); ++hi) {
-        const SplitPiece1d &ph = h.pieces[static_cast<size_t>(hi)];
-        for (int64_t oy0 = 0; oy0 < ph.outLen();
-             oy0 += kSplitConvRowBand) {
-            const int64_t oy1 =
-                std::min(ph.outLen(), oy0 + kSplitConvRowBand);
-            bands.push_back({hi, oy0, oy1});
+    std::vector<int64_t> rows;
+    for (const SplitPiece1d &ph : h.pieces)
+        rows.push_back(ph.outLen());
+    return bandItemsForRows(rows);
+}
+
+std::vector<SplitWgradBlock>
+splitConvWgradBlocks(int64_t oc)
+{
+    const int64_t rows =
+        std::max<int64_t>(1, (oc + kSplitWgradBlocks - 1) /
+                                 kSplitWgradBlocks);
+    std::vector<SplitWgradBlock> blocks;
+    for (int64_t o0 = 0; o0 < oc; o0 += rows)
+        blocks.push_back({o0, std::min(oc, o0 + rows)});
+    return blocks;
+}
+
+bool
+SplitConvLayout::parentForm() const
+{
+    for (const SplitConvPatch &p : patches)
+        if (p.in_tensor != 0 || p.out_tensor != 0)
+            return false;
+    return true;
+}
+
+int64_t
+SplitConvLayout::colStart(int wi) const
+{
+    int64_t col = 0;
+    for (int j = 0; j < wi; ++j)
+        col += at(0, j).outW();
+    return col;
+}
+
+int
+SplitConvLayout::inputTensors() const
+{
+    int count = 0;
+    for (const SplitConvPatch &p : patches)
+        count = std::max(count, p.in_tensor + 1);
+    return count;
+}
+
+int
+SplitConvLayout::outputTensors() const
+{
+    int count = 0;
+    for (const SplitConvPatch &p : patches)
+        count = std::max(count, p.out_tensor + 1);
+    return count;
+}
+
+SplitConvLayout
+splitConvParentLayout(const Window2d &win, int64_t ih, int64_t iw,
+                      const SplitScheme2d &scheme)
+{
+    SCNN_CHECK(scheme.h.parts() > 0 && scheme.w.parts() > 0,
+               "empty split scheme");
+    SplitConvLayout l;
+    l.hp = scheme.h.parts();
+    l.wp = scheme.w.parts();
+    const int64_t out_h = scheme.h.pieces.back().out_end;
+    const int64_t out_w = scheme.w.pieces.back().out_end;
+    for (int hi = 0; hi < l.hp; ++hi)
+        for (int wi = 0; wi < l.wp; ++wi) {
+            const SplitPiece1d &ph = scheme.h.pieces[hi];
+            const SplitPiece1d &pw = scheme.w.pieces[wi];
+            SplitConvPatch p;
+            p.ih = ih;
+            p.iw = iw;
+            p.view = {ph.in_start, pw.in_start, ph.inLen(), pw.inLen()};
+            p.win = patchWindow(win, scheme, hi, wi);
+            p.out_h = out_h;
+            p.out_w = out_w;
+            p.oy0 = ph.out_start;
+            p.ox0 = pw.out_start;
+            SCNN_CHECK(p.outH() == ph.outLen() && p.outW() == pw.outLen(),
+                       "split scheme geometry mismatch for patch ("
+                           << hi << ", " << wi << ")");
+            l.patches.push_back(p);
         }
+    return l;
+}
+
+SplitConvLayout
+splitConvPatchLayout(int hp, int wp, const std::vector<int64_t> &in_h,
+                     const std::vector<int64_t> &in_w,
+                     const std::vector<Window2d> &wins)
+{
+    const size_t parts = static_cast<size_t>(hp) * static_cast<size_t>(wp);
+    SCNN_CHECK(hp > 0 && wp > 0 && in_h.size() == parts &&
+                   in_w.size() == parts && wins.size() == parts,
+               "patch layout needs hp x wp patches");
+    SplitConvLayout l;
+    l.hp = hp;
+    l.wp = wp;
+    for (size_t i = 0; i < parts; ++i) {
+        SplitConvPatch p;
+        p.in_tensor = p.out_tensor = static_cast<int>(i);
+        p.ih = in_h[i];
+        p.iw = in_w[i];
+        p.view = PatchView::full(in_h[i], in_w[i]);
+        p.win = wins[i];
+        p.out_h = p.outH();
+        p.out_w = p.outW();
+        l.patches.push_back(p);
     }
-    return bands;
+    return l;
+}
+
+std::vector<SplitBandItem>
+splitConvBandItems(const SplitConvLayout &l)
+{
+    SCNN_CHECK(l.hp > 0 && l.wp > 0 &&
+                   l.patches.size() == static_cast<size_t>(l.hp) *
+                                           static_cast<size_t>(l.wp),
+               "empty split conv layout");
+    std::vector<int64_t> rows;
+    for (int hi = 0; hi < l.hp; ++hi) {
+        for (int wi = 0; wi < l.wp; ++wi) {
+            const SplitConvPatch &p = l.at(hi, wi);
+            SCNN_CHECK(p.outH() == l.at(hi, 0).outH() &&
+                           p.outW() == l.at(0, wi).outW() &&
+                           p.outH() > 0 && p.outW() > 0 &&
+                           p.oy0 + p.outH() <= p.out_h &&
+                           p.ox0 + p.outW() <= p.out_w,
+                       "split scheme geometry mismatch for patch ("
+                           << hi << ", " << wi << ")");
+        }
+        rows.push_back(l.at(hi, 0).outH());
+    }
+    return bandItemsForRows(rows);
 }
 
 namespace {
@@ -273,7 +413,7 @@ private:
         float *panels = nullptr;
         int64_t tick = 0;
     };
-    static constexpr size_t kCapacity = 8;
+    static constexpr size_t kCapacity = kSplitWeightCacheCapacity;
 
     Mutex mu_;
     std::vector<Entry> entries_ SCNN_GUARDED_BY(mu_);
@@ -304,60 +444,84 @@ splitWeightCacheClear()
     weightCache().clear();
 }
 
-Tensor
-splitConv2dForwardFused(const Tensor &x, const Tensor &weight,
-                        const Tensor &bias, const Window2d &win,
-                        const SplitScheme2d &scheme, bool use_winograd)
+namespace {
+
+/** Validated shapes of one split conv call. */
+struct ConvDims
 {
-    SCNN_REQUIRE(x.shape().rank() == 4, "split conv input must be NCHW");
+    int64_t n = 0;
+    int64_t c = 0;
+    int64_t oc = 0;
+    int64_t krows = 0;
+    int64_t width = 0; ///< the layer's full output width
+    std::vector<SplitBandItem> bands;
+    int64_t max_band_cols = 0;
+};
+
+ConvDims
+convDims(const SplitConvLayout &l, int64_t n, int64_t c,
+         const Tensor &weight)
+{
     SCNN_REQUIRE(weight.shape().rank() == 4,
                  "split conv weight must be [OC, C, kh, kw]");
-    const int64_t n = x.shape().dim(0);
-    const int64_t c = x.shape().dim(1);
-    const int64_t ih = x.shape().dim(2);
-    const int64_t iw = x.shape().dim(3);
-    const int64_t oc = weight.shape().dim(0);
     SCNN_REQUIRE(weight.shape().dim(1) == c,
                  "split conv channel mismatch");
-    SCNN_REQUIRE(weight.shape().dim(2) == win.kh &&
-                     weight.shape().dim(3) == win.kw,
-                 "split conv kernel extent mismatch");
-    SCNN_REQUIRE(!use_winograd || winogradApplicable(win),
-                 "winograd split path needs a 3x3 stride-1 window");
-    SCNN_CHECK(scheme.h.parts() > 0 && scheme.w.parts() > 0,
-               "empty split scheme");
+    ConvDims d;
+    d.n = n;
+    d.c = c;
+    d.oc = weight.shape().dim(0);
+    d.bands = splitConvBandItems(l);
+    for (const SplitConvPatch &p : l.patches)
+        SCNN_REQUIRE(weight.shape().dim(2) == p.win.kh &&
+                         weight.shape().dim(3) == p.win.kw,
+                     "split conv kernel extent mismatch");
+    d.krows = c * weight.shape().dim(2) * weight.shape().dim(3);
+    d.width = l.colStart(l.wp);
+    for (const SplitBandItem &b : d.bands)
+        d.max_band_cols = std::max(d.max_band_cols, (b.oy1 - b.oy0) * d.width);
+    return d;
+}
 
-    const int64_t out_h = scheme.h.pieces.back().out_end;
-    const int64_t out_w = scheme.w.pieces.back().out_end;
-    const int64_t krows = c * win.kh * win.kw;
-    const bool has_bias = bias.numel() > 0;
-    if (has_bias)
-        SCNN_REQUIRE(bias.numel() == oc,
-                     "split conv bias size mismatch");
+/** Patch p's input image @p in in tensor memory. */
+const float *
+patchInput(const SplitConvPatch &p, const float *base, int64_t c,
+           int64_t in)
+{
+    return base + in * c * p.ih * p.iw;
+}
 
-    // Validate the scheme geometry once; the band decomposition comes
-    // from the shared helper the SA6xx analyzer also models.
-    for (int hi = 0; hi < scheme.h.parts(); ++hi) {
-        const SplitPiece1d &ph = scheme.h.pieces[hi];
-        for (int wi = 0; wi < scheme.w.parts(); ++wi) {
-            const SplitPiece1d &pw = scheme.w.pieces[wi];
-            const Window2d local = patchWindow(win, scheme, hi, wi);
-            SCNN_CHECK(local.outH(ph.inLen()) == ph.outLen() &&
-                           local.outW(pw.inLen()) == pw.outLen(),
-                       "split scheme geometry mismatch for patch ("
-                           << hi << ", " << wi << ")");
-        }
+/** Patch p's output origin (channel 0, patch row 0, column 0) for
+ * image @p in; channels are p.out_h * p.out_w apart, rows p.out_w. */
+template <typename T>
+T *
+patchOutput(const SplitConvPatch &p, T *base, int64_t oc, int64_t in)
+{
+    return base + in * oc * p.out_h * p.out_w + p.oy0 * p.out_w + p.ox0;
+}
+
+/** Bind a layout's tensors to their plan regions ("role" for the
+ * parent form, "role:k" per tensor otherwise). */
+template <typename T>
+void
+bindTensors(ShadowSession &shadow, const std::string &role,
+            const std::vector<T *> &bases)
+{
+    if (bases.size() == 1) {
+        shadow.bind(role, bases[0]);
+        return;
     }
-    const std::vector<SplitBandItem> bands =
-        splitConvBandItems(scheme.h);
-    int64_t max_band_rows = 0;
-    for (const SplitBandItem &b : bands)
-        max_band_rows = std::max(max_band_rows, b.oy1 - b.oy0);
+    for (size_t k = 0; k < bases.size(); ++k)
+        shadow.bind(role + ":" + std::to_string(k), bases[k]);
+}
 
-    // Weight panels: packed at most once per (layer, split) — served
-    // from the keyed cache on every later call, shared read-only by
-    // all workers. In debug builds, assert a hit really skipped the
-    // pack (the packs == layers invariant).
+/** Forward weight operand from the keyed cache: GEMM A panels or
+ * the packed Winograd U tensor. In debug builds, asserts a hit
+ * really skipped the pack (the packs == layers invariant). */
+PanelRef
+forwardPanels(const Tensor &weight, int64_t c, bool use_winograd)
+{
+    const int64_t oc = weight.shape().dim(0);
+    const int64_t krows = weight.numel() / oc;
 #ifndef NDEBUG
     const int64_t packs_before = gemmPackACalls();
     const SplitWeightCacheStats stats_before = splitWeightCacheStats();
@@ -380,14 +544,150 @@ splitConv2dForwardFused(const Tensor &x, const Tensor &weight,
         SCNN_CHECK(gemmPackACalls() == packs_before,
                    "weight-cache hit must not repack panels");
 #endif
+    return wref;
+}
 
-    Tensor out = Tensor::uninitialized(Shape{n, oc, out_h, out_w});
-    const float *bias_ptr = has_bias ? bias.data() : nullptr;
-    const int64_t n_bands = static_cast<int64_t>(bands.size());
-    const int64_t max_band_cols = max_band_rows * out_w;
-    const int64_t panel_floats = use_winograd
-                                     ? winogradPackedUSize(oc, c)
-                                     : gemmPackedASize(oc, krows);
+/**
+ * The band-fused forward pipeline over either layout form. Work item
+ * i = image * bands + band. Per band, every width patch of the patch
+ * row stages its halo-aware im2col columns into one shared column
+ * matrix ordered by layer output column (window-element row r of
+ * output (oy, col) at col[r*nb + (oy - oy0)*width + col]); the matrix
+ * is packed into B panels once and one unsplit-shaped GEMM covers
+ * every output channel. In the parent form C is the parent output
+ * itself; in the patch form C is a band buffer whose rows are then
+ * copied into each patch's output tensor.
+ */
+void
+splitConvForwardBands(const SplitConvLayout &l, const ConvDims &d,
+                      const std::vector<const float *> &xs,
+                      const std::vector<float *> &ys,
+                      const PanelRef &wref, int64_t panel_floats,
+                      const float *bias, bool use_winograd)
+{
+    const bool direct = l.parentForm();
+    const int64_t c = d.c;
+    const int64_t oc = d.oc;
+    const int64_t krows = d.krows;
+    const int64_t width = d.width;
+    const int64_t n_bands = static_cast<int64_t>(d.bands.size());
+    const bool shadow = shadowAccessEnabled();
+
+    globalPool().parallelFor(d.n * n_bands, [&](int64_t begin,
+                                                int64_t end) {
+        auto &warena = ScratchArena::tls();
+        auto wguard = warena.scope();
+        float *col = nullptr;
+        float *pb = nullptr;
+        float *cbuf = nullptr;
+        if (!use_winograd) {
+            col = warena.alloc(krows * d.max_band_cols);
+            pb = warena.alloc(gemmPackedBSize(krows, d.max_band_cols));
+            if (!direct)
+                cbuf = warena.alloc(oc * d.max_band_cols);
+        }
+        for (int64_t i = begin; i < end; ++i) {
+            const int64_t in = i / n_bands;
+            const SplitBandItem &band =
+                d.bands[static_cast<size_t>(i % n_bands)];
+            const int64_t rows = band.oy1 - band.oy0;
+            const int64_t nb = rows * width;
+
+            if (shadow) {
+                shadowSetItem(i);
+                // Each patch's band rows of every channel, and the
+                // shared read of the packed panels. Input halo reads
+                // are recorded inside the patch kernels.
+                for (int wi = 0; wi < l.wp; ++wi) {
+                    const SplitConvPatch &p = l.at(band.hi, wi);
+                    shadowRecordSpan(
+                        patchOutput(p, ys[p.out_tensor], oc, in) +
+                            band.oy0 * p.out_w,
+                        {0, oc, p.out_h * p.out_w, rows, p.out_w,
+                         p.outW()},
+                        true);
+                }
+                shadowRecord(wref.panels, panel_floats, false);
+            }
+
+            if (use_winograd) {
+                // Every width patch's tiles in one batched call.
+                std::vector<WinogradPatchTask> tasks;
+                for (int wi = 0; wi < l.wp; ++wi) {
+                    const SplitConvPatch &p = l.at(band.hi, wi);
+                    tasks.push_back(
+                        {patchInput(p, xs[p.in_tensor], c, in), p.ih,
+                         p.iw, p.view, p.win, band.oy0 / 2,
+                         (band.oy1 + 1) / 2,
+                         patchOutput(p, ys[p.out_tensor], oc, in),
+                         p.out_h, p.out_w, 0, 0});
+                }
+                conv2dWinogradPatches(tasks.data(),
+                                      static_cast<int64_t>(tasks.size()),
+                                      c, wref.panels, oc, bias);
+                continue;
+            }
+
+            for (int wi = 0; wi < l.wp; ++wi) {
+                const SplitConvPatch &p = l.at(band.hi, wi);
+                im2colViewStrided(patchInput(p, xs[p.in_tensor], c, in),
+                                  c, p.ih, p.iw, p.view, p.win,
+                                  band.oy0, band.oy1,
+                                  col + l.colStart(wi), nb, width);
+            }
+            gemmPackB(krows, nb, col, nb, pb);
+            const SplitConvPatch &p0 = l.at(band.hi, 0);
+            float *cbase = cbuf;
+            int64_t ldc = nb;
+            if (direct) {
+                cbase = patchOutput(p0, ys[0], oc, in) +
+                        band.oy0 * p0.out_w;
+                ldc = p0.out_h * p0.out_w;
+            }
+            gemmPackedAB(oc, nb, krows, wref.panels, pb, 0.0f, cbase,
+                         ldc);
+            if (bias != nullptr)
+                for (int64_t o = 0; o < oc; ++o) {
+                    float *crow = cbase + o * ldc;
+                    const float b = bias[o];
+                    for (int64_t j = 0; j < nb; ++j)
+                        crow[j] += b;
+                }
+            if (direct)
+                continue;
+            for (int wi = 0; wi < l.wp; ++wi) {
+                const SplitConvPatch &p = l.at(band.hi, wi);
+                float *dst = patchOutput(p, ys[p.out_tensor], oc, in) +
+                             band.oy0 * p.out_w;
+                const float *src = cbuf + l.colStart(wi);
+                for (int64_t o = 0; o < oc; ++o)
+                    for (int64_t r = 0; r < rows; ++r)
+                        std::memcpy(dst + o * p.out_h * p.out_w +
+                                        r * p.out_w,
+                                    src + o * nb + r * width,
+                                    static_cast<size_t>(p.outW()) *
+                                        sizeof(float));
+            }
+        }
+    });
+}
+
+/** Run the forward pipeline under an optional shadow session. */
+void
+splitConvForwardChecked(const SplitConvLayout &l, const ConvDims &d,
+                        const std::vector<const float *> &xs,
+                        const std::vector<float *> &ys,
+                        const Tensor &weight, const Tensor &bias,
+                        bool use_winograd)
+{
+    const bool has_bias = bias.numel() > 0;
+    if (has_bias)
+        SCNN_REQUIRE(bias.numel() == d.oc,
+                     "split conv bias size mismatch");
+    const PanelRef wref = forwardPanels(weight, d.c, use_winograd);
+    const int64_t panel_floats =
+        use_winograd ? winogradPackedUSize(d.oc, d.c)
+                     : gemmPackedASize(d.oc, d.krows);
 
     // Shadow-access validation (SCNN_SHADOW_ACCESS=1): model this
     // exact execution and, after the parallel section, check every
@@ -395,92 +695,14 @@ splitConv2dForwardFused(const Tensor &x, const Tensor &weight,
     std::unique_ptr<ShadowSession> shadow;
     if (shadowAccessEnabled()) {
         shadow = std::make_unique<ShadowSession>(
-            buildSplitConvPlan(n, c, ih, iw, oc, win, scheme));
-        shadow->bind("output", out.data());
-        shadow->bind("input", x.data());
+            buildSplitConvPlan(d.n, d.c, d.oc, l));
+        bindTensors(*shadow, "output", ys);
+        bindTensors(*shadow, "input", xs);
         shadow->bind("weight_panels", wref.panels);
     }
-
-    globalPool().parallelFor(n * n_bands, [&](int64_t begin,
-                                              int64_t end) {
-        auto &warena = ScratchArena::tls();
-        auto wguard = warena.scope();
-        float *col = nullptr;
-        float *pb = nullptr;
-        if (!use_winograd) {
-            col = warena.alloc(krows * max_band_cols);
-            pb = warena.alloc(gemmPackedBSize(krows, max_band_cols));
-        }
-        for (int64_t i = begin; i < end; ++i) {
-            const int64_t in = i / n_bands;
-            const SplitBandItem &band =
-                bands[static_cast<size_t>(i % n_bands)];
-            const SplitPiece1d &ph = scheme.h.pieces[band.hi];
-            const float *img = x.data() + in * c * ih * iw;
-            float *out_img = out.data() + in * oc * out_h * out_w;
-
-            if (shadow) {
-                shadowSetItem(i);
-                // The band's whole output claim (both kernel paths
-                // write exactly these rows of every channel) and its
-                // shared read of the packed panels. Input halo reads
-                // are recorded inside the patch kernels.
-                shadowRecordSpan(
-                    out_img + (ph.out_start + band.oy0) * out_w,
-                    {0, oc, out_h * out_w, 1, 0,
-                     (band.oy1 - band.oy0) * out_w},
-                    true);
-                shadowRecord(wref.panels, panel_floats, false);
-            }
-
-            if (use_winograd) {
-                for (int wi = 0; wi < scheme.w.parts(); ++wi) {
-                    const SplitPiece1d &pw = scheme.w.pieces[wi];
-                    const PatchView view{ph.in_start, pw.in_start,
-                                         ph.inLen(), pw.inLen()};
-                    conv2dWinogradPatch(
-                        img, c, ih, iw, view,
-                        patchWindow(win, scheme, band.hi, wi),
-                        wref.panels, oc, bias_ptr, band.oy0 / 2,
-                        (band.oy1 + 1) / 2, out_img, out_h, out_w,
-                        ph.out_start, pw.out_start);
-                }
-                continue;
-            }
-
-            // Stage every patch's columns of this band into the
-            // shared column matrix, ordered by parent output
-            // position: window-element row r of output (oy, ox_glob)
-            // sits at col[r*nb + (oy - oy0)*out_w + ox_glob].
-            const int64_t rows = band.oy1 - band.oy0;
-            const int64_t nb = rows * out_w;
-            for (int wi = 0; wi < scheme.w.parts(); ++wi) {
-                const SplitPiece1d &pw = scheme.w.pieces[wi];
-                const PatchView view{ph.in_start, pw.in_start,
-                                     ph.inLen(), pw.inLen()};
-                im2colViewStrided(
-                    img, c, ih, iw, view,
-                    patchWindow(win, scheme, band.hi, wi), band.oy0,
-                    band.oy1, col + pw.out_start, nb, out_w);
-            }
-            // One unsplit-shaped GEMM for the whole band: B panels
-            // packed once, consumed by every output-channel block, C
-            // written straight into the parent output.
-            gemmPackB(krows, nb, col, nb, pb);
-            float *cbase =
-                out_img + (ph.out_start + band.oy0) * out_w;
-            const int64_t ldc = out_h * out_w;
-            gemmPackedAB(oc, nb, krows, wref.panels, pb, 0.0f, cbase,
-                         ldc);
-            if (has_bias)
-                for (int64_t o = 0; o < oc; ++o) {
-                    float *crow = cbase + o * ldc;
-                    const float b = bias_ptr[o];
-                    for (int64_t j = 0; j < nb; ++j)
-                        crow[j] += b;
-                }
-        }
-    });
+    splitConvForwardBands(l, d, xs, ys, wref, panel_floats,
+                          has_bias ? bias.data() : nullptr,
+                          use_winograd);
     if (shadow) {
         const std::vector<Diagnostic> escapes = shadow->check();
         SCNN_CHECK(escapes.empty(),
@@ -489,7 +711,62 @@ splitConv2dForwardFused(const Tensor &x, const Tensor &weight,
                        << " SA607 escape(s) in split conv; first: "
                        << escapes.front().toString());
     }
+}
+
+} // namespace
+
+Tensor
+splitConv2dForwardFused(const Tensor &x, const Tensor &weight,
+                        const Tensor &bias, const Window2d &win,
+                        const SplitScheme2d &scheme, bool use_winograd)
+{
+    SCNN_REQUIRE(x.shape().rank() == 4, "split conv input must be NCHW");
+    SCNN_REQUIRE(!use_winograd || winogradApplicable(win),
+                 "winograd split path needs a 3x3 stride-1 window");
+    const SplitConvLayout l = splitConvParentLayout(
+        win, x.shape().dim(2), x.shape().dim(3), scheme);
+    const ConvDims d = convDims(l, x.shape().dim(0), x.shape().dim(1),
+                                weight);
+    Tensor out = Tensor::uninitialized(
+        Shape{d.n, d.oc, l.patches[0].out_h, l.patches[0].out_w});
+    splitConvForwardChecked(l, d, {x.data()}, {out.data()}, weight, bias,
+                            use_winograd);
     return out;
+}
+
+void
+splitConv2dForwardPatches(const SplitConvLayout &layout,
+                          const std::vector<const Tensor *> &xs,
+                          const Tensor &weight, const Tensor &bias,
+                          std::vector<Tensor> &outs)
+{
+    SCNN_REQUIRE(static_cast<int>(xs.size()) == layout.inputTensors(),
+                 "split conv patch inputs: expected "
+                     << layout.inputTensors() << ", got " << xs.size());
+    const Shape &s0 = xs[0]->shape();
+    SCNN_REQUIRE(s0.rank() == 4, "split conv input must be NCHW");
+    const ConvDims d = convDims(layout, s0.dim(0), s0.dim(1), weight);
+    std::vector<const float *> xp;
+    for (const SplitConvPatch &p : layout.patches)
+        SCNN_REQUIRE(xs[p.in_tensor]->shape() ==
+                         Shape({d.n, d.c, p.ih, p.iw}),
+                     "split conv patch input shape "
+                         << xs[p.in_tensor]->shape().toString());
+    for (const Tensor *t : xs)
+        xp.push_back(t->data());
+    outs.resize(static_cast<size_t>(layout.outputTensors()));
+    std::vector<float *> yp;
+    for (const SplitConvPatch &p : layout.patches) {
+        Tensor &out = outs[static_cast<size_t>(p.out_tensor)];
+        const Shape want{d.n, d.oc, p.out_h, p.out_w};
+        if (!(out.shape() == want))
+            out = Tensor::uninitialized(want);
+    }
+    for (Tensor &t : outs)
+        yp.push_back(t.data());
+    splitConvForwardChecked(
+        layout, d, xp, yp, weight, bias,
+        conv2dAutoPicksWinograd(d.c, d.oc, layout.patches[0].win));
 }
 
 Tensor
@@ -742,74 +1019,97 @@ splitAvgPool2dForward(const Tensor &x, const Window2d &win,
 
 namespace {
 
-void
-splitConv2dBackwardImpl(const Tensor &x, const Tensor &weight,
-                        const Tensor &grad_out, const Window2d &win,
-                        const SplitScheme2d &scheme, Tensor &grad_x,
-                        Tensor &grad_w, Tensor &grad_b,
-                        bool materialize)
+/** The dgrad operand: W^T packed A panels, A(i, p) =
+ * weight[p*krows+i], from the keyed cache under a dgrad key (so one
+ * layer caches its forward and backward layouts side by side). */
+PanelRef
+dgradPanels(const Tensor &weight)
 {
-    SCNN_REQUIRE(x.shape().rank() == 4, "split conv input must be NCHW");
-    SCNN_REQUIRE(weight.shape().rank() == 4,
-                 "split conv weight must be [OC, C, kh, kw]");
-    const int64_t n = x.shape().dim(0);
-    const int64_t c = x.shape().dim(1);
-    const int64_t ih = x.shape().dim(2);
-    const int64_t iw = x.shape().dim(3);
     const int64_t oc = weight.shape().dim(0);
-    SCNN_REQUIRE(weight.shape().dim(1) == c,
-                 "split conv channel mismatch");
-    SCNN_REQUIRE(weight.shape().dim(2) == win.kh &&
-                     weight.shape().dim(3) == win.kw,
-                 "split conv kernel extent mismatch");
-    SCNN_CHECK(scheme.h.parts() > 0 && scheme.w.parts() > 0,
-               "empty split scheme");
+    const int64_t krows = weight.numel() / oc;
+#ifndef NDEBUG
+    const int64_t packs_before = gemmPackACalls();
+    const SplitWeightCacheStats stats_before = splitWeightCacheStats();
+#endif
+    PanelRef wref = weightCache().lookupOrPack(
+        weight.data(), oc * krows, krows, oc, PanelKind::Dgrad,
+        gemmPackedASize(krows, oc), [&](float *dst) {
+            gemmPackAStrided(krows, oc, 1.0f, weight.data(), /*rs=*/1,
+                             /*cs=*/krows, dst);
+        });
+#ifndef NDEBUG
+    if (splitWeightCacheStats().hits > stats_before.hits)
+        SCNN_CHECK(gemmPackACalls() == packs_before,
+                   "weight-cache hit must not repack panels");
+#endif
+    return wref;
+}
 
-    const int64_t out_h = scheme.h.pieces.back().out_end;
-    const int64_t out_w = scheme.w.pieces.back().out_end;
-    SCNN_CHECK(grad_out.shape() == Shape({n, oc, out_h, out_w}),
-               "split conv grad_out shape mismatch: "
-                   << grad_out.shape().toString());
-    SCNN_CHECK(grad_w.shape() == weight.shape(),
-               "grad_w must be pre-shaped like weight");
-    const bool has_bias = grad_b.numel() > 0;
-    if (has_bias)
-        SCNN_REQUIRE(grad_b.numel() == oc,
-                     "split conv grad_b size mismatch");
+/** Fold a wave's @p count wgrad/bias partials into grad_w / grad_b
+ * in order: gw holds [krows x oc] partials (grad_w transposed), gb
+ * [oc] ones or null. */
+void
+foldPartials(const float *gw, const float *gb, int64_t count,
+             int64_t krows, int64_t oc, Tensor &grad_w, Tensor &grad_b)
+{
+    foldWgradPartials(gw, count, krows, oc, grad_w.data());
+    if (gb == nullptr)
+        return;
+    float *db = grad_b.data();
+    for (int64_t k = 0; k < count; ++k)
+        for (int64_t o = 0; o < oc; ++o)
+            db[o] += gb[k * oc + o];
+}
 
-    for (int hi = 0; hi < scheme.h.parts(); ++hi) {
-        const SplitPiece1d &ph = scheme.h.pieces[hi];
-        for (int wi = 0; wi < scheme.w.parts(); ++wi) {
-            const SplitPiece1d &pw = scheme.w.pieces[wi];
-            const Window2d local = patchWindow(win, scheme, hi, wi);
-            SCNN_CHECK(local.outH(ph.inLen()) == ph.outLen() &&
-                           local.outW(pw.inLen()) == pw.outLen(),
-                       "split scheme geometry mismatch for patch ("
-                           << hi << ", " << wi << ")");
-        }
-    }
+void
+checkShadow(std::unique_ptr<ShadowSession> &shadow)
+{
+    if (!shadow)
+        return;
+    const std::vector<Diagnostic> escapes = shadow->check();
+    SCNN_CHECK(escapes.empty(),
+               "shadow-access validator: "
+                   << escapes.size()
+                   << " SA607 escape(s) in split conv backward; "
+                      "first: "
+                   << escapes.front().toString());
+}
 
-    const int64_t krows = c * win.kh * win.kw;
-    const int64_t ospatial = out_h * out_w;
+/**
+ * The band-fused backward over the parent form. Images fan out in
+ * waves; a worker owns an image and runs its bands serially
+ * ascending, so halo scatter-adds into grad_x land in a fixed order.
+ * Per band the staged columns feed both gradient GEMMs: wgrad chains
+ * every patch of the image into one per-image partial (reduced in
+ * image order after each wave), dgrad scatters through
+ * col2imViewStrided. @p materialize routes every read through bounce
+ * copies (see splitConv2dBackwardMaterialized).
+ */
+void
+splitConvBackwardBands(const SplitConvLayout &l, const ConvDims &d,
+                       const float *x, const float *grad_out,
+                       float *grad_x, const Tensor &weight,
+                       Tensor &grad_w, Tensor &grad_b, bool materialize)
+{
+    const int64_t n = d.n;
+    const int64_t c = d.c;
+    const int64_t oc = d.oc;
+    const int64_t krows = d.krows;
+    const int64_t width = d.width;
+    const int64_t max_band_cols = d.max_band_cols;
+    const int64_t n_bands = static_cast<int64_t>(d.bands.size());
     const int64_t panel_floats = gemmPackedASize(krows, oc);
-
-    const std::vector<SplitBandItem> bands =
-        splitConvBandItems(scheme.h);
-    const int64_t n_bands = static_cast<int64_t>(bands.size());
-    int64_t max_band_rows = 0;
-    for (const SplitBandItem &b : bands)
-        max_band_rows = std::max(max_band_rows, b.oy1 - b.oy0);
-    const int64_t max_band_cols = max_band_rows * out_w;
-
-    grad_x = Tensor(x.shape()); // zero: halo scatters accumulate
+    const bool has_bias = grad_b.numel() > 0;
+    const SplitConvPatch &p00 = l.patches[0];
+    const int64_t ih = p00.ih;
+    const int64_t iw = p00.iw;
+    const int64_t ospatial = p00.out_h * p00.out_w;
 
     auto &arena = ScratchArena::tls();
     auto guard = arena.scope();
 
-    // dgrad operand: W^T packed A panels, A(i, p) = weight[p*krows+i].
-    // Fused serves them from the keyed cache (a dgrad key, so one
-    // layer caches its forward and backward layouts side by side);
-    // the pinned reference packs fresh every call.
+    // The fused path serves W^T panels from the cache; the pinned
+    // reference packs fresh every call.
     const float *wt_panels = nullptr;
     PanelRef wref;
     if (materialize) {
@@ -818,22 +1118,7 @@ splitConv2dBackwardImpl(const Tensor &x, const Tensor &weight,
                          /*cs=*/krows, fresh);
         wt_panels = fresh;
     } else {
-#ifndef NDEBUG
-        const int64_t packs_before = gemmPackACalls();
-        const SplitWeightCacheStats stats_before =
-            splitWeightCacheStats();
-#endif
-        wref = weightCache().lookupOrPack(
-            weight.data(), oc * krows, krows, oc, PanelKind::Dgrad,
-            panel_floats, [&](float *dst) {
-                gemmPackAStrided(krows, oc, 1.0f, weight.data(),
-                                 /*rs=*/1, /*cs=*/krows, dst);
-            });
-#ifndef NDEBUG
-        if (splitWeightCacheStats().hits > stats_before.hits)
-            SCNN_CHECK(gemmPackACalls() == packs_before,
-                       "weight-cache hit must not repack panels");
-#endif
+        wref = dgradPanels(weight);
         wt_panels = wref.panels;
     }
 
@@ -841,20 +1126,17 @@ splitConv2dBackwardImpl(const Tensor &x, const Tensor &weight,
     float *gw_acc = arena.alloc(wave * krows * oc);
     float *gb_acc = has_bias ? arena.alloc(wave * oc) : nullptr;
 
-    int64_t max_ph_len = 0;
-    for (const SplitPiece1d &p : scheme.h.pieces)
-        max_ph_len = std::max(max_ph_len, p.inLen());
-    int64_t max_pw_len = 0;
-    for (const SplitPiece1d &p : scheme.w.pieces)
-        max_pw_len = std::max(max_pw_len, p.inLen());
+    int64_t max_patch = 0;
+    for (const SplitConvPatch &p : l.patches)
+        max_patch = std::max(max_patch, p.view.ih * p.view.iw);
 
     std::unique_ptr<ShadowSession> shadow;
     if (!materialize && shadowAccessEnabled()) {
         shadow = std::make_unique<ShadowSession>(
-            buildSplitConvBackwardPlan(n, c, ih, iw, oc, win, scheme));
-        shadow->bind("grad_x", grad_x.data());
-        shadow->bind("grad_out", grad_out.data());
-        shadow->bind("input", x.data());
+            buildSplitConvBackwardPlan(n, c, oc, l));
+        shadow->bind("grad_x", grad_x);
+        shadow->bind("grad_out", grad_out);
+        shadow->bind("input", x);
         shadow->bind("weight_panels", wt_panels);
         shadow->bind("grad_w", grad_w.data());
         if (has_bias)
@@ -875,26 +1157,23 @@ splitConv2dBackwardImpl(const Tensor &x, const Tensor &weight,
             float *pb_go =
                 warena.alloc(gemmPackedBSize(oc, max_band_cols));
             float *patch_buf =
-                materialize ? warena.alloc(c * max_ph_len * max_pw_len)
-                            : nullptr;
-            float *go_buf =
-                materialize ? warena.alloc(oc * max_band_cols)
-                            : nullptr;
+                materialize ? warena.alloc(c * max_patch) : nullptr;
+            float *go_buf = materialize
+                                ? warena.alloc(oc * max_band_cols)
+                                : nullptr;
             for (int64_t wi = begin; wi < end; ++wi) {
                 const int64_t in = w0 + wi;
-                const float *go = grad_out.data() + in * oc * ospatial;
-                const float *img = x.data() + in * c * ih * iw;
-                float *gx_img = grad_x.data() + in * c * ih * iw;
+                const float *go = grad_out + in * oc * ospatial;
+                const float *img = x + in * c * ih * iw;
+                float *gx_img = grad_x + in * c * ih * iw;
                 float *gw_img = gw_acc + wi * krows * oc;
                 for (int64_t bi = 0; bi < n_bands; ++bi) {
                     const SplitBandItem &band =
-                        bands[static_cast<size_t>(bi)];
-                    const SplitPiece1d &ph =
-                        scheme.h.pieces[static_cast<size_t>(band.hi)];
-                    const int64_t rows = band.oy1 - band.oy0;
-                    const int64_t nb = rows * out_w;
+                        d.bands[static_cast<size_t>(bi)];
+                    const SplitConvPatch &p0 = l.at(band.hi, 0);
+                    const int64_t nb = (band.oy1 - band.oy0) * width;
                     const float *go_band =
-                        go + (ph.out_start + band.oy0) * out_w;
+                        go + (p0.oy0 + band.oy0) * width;
                     if (shadow) {
                         shadowSetItem(in * n_bands + bi);
                         // The band's grad_out rows of every output
@@ -906,25 +1185,20 @@ splitConv2dBackwardImpl(const Tensor &x, const Tensor &weight,
                                          false);
                         shadowRecord(wt_panels, panel_floats, false);
                     }
-                    for (int pi = 0; pi < scheme.w.parts(); ++pi) {
-                        const SplitPiece1d &pw =
-                            scheme.w.pieces[static_cast<size_t>(pi)];
-                        const PatchView view{ph.in_start, pw.in_start,
-                                             ph.inLen(), pw.inLen()};
-                        const Window2d local =
-                            patchWindow(win, scheme, band.hi, pi);
+                    for (int pi = 0; pi < l.wp; ++pi) {
+                        const SplitConvPatch &p = l.at(band.hi, pi);
                         if (!materialize) {
-                            im2colViewStrided(img, c, ih, iw, view,
-                                              local, band.oy0,
-                                              band.oy1,
-                                              col + pw.out_start, nb,
-                                              out_w);
+                            im2colViewStrided(img, c, ih, iw, p.view,
+                                              p.win, band.oy0, band.oy1,
+                                              col + l.colStart(pi), nb,
+                                              width);
                             continue;
                         }
                         // Reference: bounce-copy the patch rectangle
                         // and stage from the copy — byte-equal
                         // columns, but no view machinery on the read
                         // side.
+                        const PatchView &view = p.view;
                         for (int64_t ic = 0; ic < c; ++ic)
                             for (int64_t y = 0; y < view.ih; ++y)
                                 std::memcpy(
@@ -936,19 +1210,18 @@ splitConv2dBackwardImpl(const Tensor &x, const Tensor &weight,
                                         sizeof(float));
                         im2colViewStrided(
                             patch_buf, c, view.ih, view.iw,
-                            PatchView::full(view.ih, view.iw), local,
-                            band.oy0, band.oy1, col + pw.out_start,
-                            nb, out_w);
+                            PatchView::full(view.ih, view.iw), p.win,
+                            band.oy0, band.oy1, col + l.colStart(pi),
+                            nb, width);
                     }
                     const float *go_src = go_band;
                     int64_t go_ld = ospatial;
                     if (materialize) {
                         for (int64_t o = 0; o < oc; ++o)
-                            std::memcpy(
-                                go_buf + o * nb,
-                                go_band + o * ospatial,
-                                static_cast<size_t>(nb) *
-                                    sizeof(float));
+                            std::memcpy(go_buf + o * nb,
+                                        go_band + o * ospatial,
+                                        static_cast<size_t>(nb) *
+                                            sizeof(float));
                         go_src = go_buf;
                         go_ld = nb;
                     }
@@ -965,15 +1238,11 @@ splitConv2dBackwardImpl(const Tensor &x, const Tensor &weight,
                     gemmPackB(oc, nb, go_src, /*ldb=*/go_ld, pb_go);
                     gemmPackedAB(krows, nb, oc, wt_panels, pb_go,
                                  0.0f, gcol, nb);
-                    for (int pi = 0; pi < scheme.w.parts(); ++pi) {
-                        const SplitPiece1d &pw =
-                            scheme.w.pieces[static_cast<size_t>(pi)];
-                        const PatchView view{ph.in_start, pw.in_start,
-                                             ph.inLen(), pw.inLen()};
-                        col2imViewStrided(
-                            gcol + pw.out_start, c, ih, iw, view,
-                            patchWindow(win, scheme, band.hi, pi),
-                            band.oy0, band.oy1, gx_img, nb, out_w);
+                    for (int pi = 0; pi < l.wp; ++pi) {
+                        const SplitConvPatch &p = l.at(band.hi, pi);
+                        col2imViewStrided(gcol + l.colStart(pi), c, ih,
+                                          iw, p.view, p.win, band.oy0,
+                                          band.oy1, gx_img, nb, width);
                     }
                 }
                 if (has_bias) {
@@ -987,39 +1256,269 @@ splitConv2dBackwardImpl(const Tensor &x, const Tensor &weight,
                 }
             }
         });
-        for (int64_t wi = 0; wi < wn; ++wi) {
-            const int64_t in = w0 + wi;
-            if (shadow) {
-                shadowSetItem(n * n_bands + n + in);
+        if (shadow)
+            for (int64_t wi = 0; wi < wn; ++wi) {
+                shadowSetItem(n * n_bands + n + w0 + wi);
                 shadowRecord(grad_w.data(), oc * krows, true);
                 if (has_bias)
                     shadowRecord(grad_b.data(), oc, true);
             }
-            // gw_img is [krows x oc]; grad_w is [oc x krows].
-            const float *gw = gw_acc + wi * krows * oc;
-            float *dst = grad_w.data();
-            for (int64_t o = 0; o < oc; ++o)
-                for (int64_t r = 0; r < krows; ++r)
-                    dst[o * krows + r] += gw[r * oc + o];
-            if (has_bias) {
-                const float *gb = gb_acc + wi * oc;
-                for (int64_t o = 0; o < oc; ++o)
-                    grad_b.at(o) += gb[o];
+        foldPartials(gw_acc, gb_acc, wn, krows, oc, grad_w, grad_b);
+    }
+    checkShadow(shadow);
+}
+
+/**
+ * The backward over the patch form, bitwise equal to running
+ * conv2dBackward on every patch clone in reverse patch order (the
+ * clone graph's backward). dgrad is band-fused: per (image, band)
+ * the grad_out rows of every width patch are gathered into one
+ * [oc x nb] matrix, one GEMM against the cached W^T panels covers
+ * them all, and each patch's columns scatter into its own grad_x
+ * tensor — every gradient element sees exactly conv2dBackward's
+ * arithmetic. wgrad and bias keep the clone graph's reduction order
+ * (see splitConvWgradBlocks), so grad_w and grad_b match the clone
+ * graph byte for byte.
+ */
+void
+splitConvBackwardPatchBands(const SplitConvLayout &l, const ConvDims &d,
+                            const std::vector<const float *> &xs,
+                            const std::vector<const float *> &gys,
+                            const std::vector<float *> &gxs,
+                            const Tensor &weight, Tensor &grad_w,
+                            Tensor &grad_b)
+{
+    const int64_t n = d.n;
+    const int64_t c = d.c;
+    const int64_t oc = d.oc;
+    const int64_t krows = d.krows;
+    const int64_t width = d.width;
+    const int64_t max_band_cols = d.max_band_cols;
+    const int64_t n_bands = static_cast<int64_t>(d.bands.size());
+    const int64_t parts = static_cast<int64_t>(l.patches.size());
+    const int64_t panel_floats = gemmPackedASize(krows, oc);
+    const bool has_bias = grad_b.numel() > 0;
+    int64_t max_patch_cols = 0;
+    for (const SplitConvPatch &p : l.patches)
+        max_patch_cols = std::max(
+            max_patch_cols,
+            std::min(p.outH(), kSplitConvRowBand) * p.outW());
+
+    const PanelRef wref = dgradPanels(weight);
+
+    std::unique_ptr<ShadowSession> shadow;
+    if (shadowAccessEnabled()) {
+        shadow = std::make_unique<ShadowSession>(
+            buildSplitConvBackwardPlan(n, c, oc, l));
+        bindTensors(*shadow, "grad_x", gxs);
+        bindTensors(*shadow, "grad_out", gys);
+        bindTensors(*shadow, "input", xs);
+        shadow->bind("weight_panels", wref.panels);
+        shadow->bind("grad_w", grad_w.data());
+        if (has_bias)
+            shadow->bind("grad_b", grad_b.data());
+    }
+
+    // dgrad: a worker owns an image and runs its bands ascending.
+    globalPool().parallelFor(n, [&](int64_t begin, int64_t end) {
+        auto &warena = ScratchArena::tls();
+        auto wguard = warena.scope();
+        float *go_buf = warena.alloc(oc * max_band_cols);
+        float *gcol = warena.alloc(krows * max_band_cols);
+        float *pb_go = warena.alloc(gemmPackedBSize(oc, max_band_cols));
+        for (int64_t in = begin; in < end; ++in) {
+            for (int64_t bi = 0; bi < n_bands; ++bi) {
+                const SplitBandItem &band =
+                    d.bands[static_cast<size_t>(bi)];
+                const int64_t rows = band.oy1 - band.oy0;
+                const int64_t nb = rows * width;
+                if (shadow) {
+                    shadowSetItem(in * n_bands + bi);
+                    shadowRecord(wref.panels, panel_floats, false);
+                }
+                for (int pi = 0; pi < l.wp; ++pi) {
+                    const SplitConvPatch &p = l.at(band.hi, pi);
+                    const float *src =
+                        patchOutput(p, gys[p.out_tensor], oc, in) +
+                        band.oy0 * p.out_w;
+                    if (shadow)
+                        shadowRecordSpan(src,
+                                         {0, oc, p.out_h * p.out_w, rows,
+                                          p.out_w, p.outW()},
+                                         false);
+                    for (int64_t o = 0; o < oc; ++o)
+                        for (int64_t r = 0; r < rows; ++r)
+                            std::memcpy(go_buf + o * nb + r * width +
+                                            l.colStart(pi),
+                                        src + o * p.out_h * p.out_w +
+                                            r * p.out_w,
+                                        static_cast<size_t>(p.outW()) *
+                                            sizeof(float));
+                }
+                gemmPackB(oc, nb, go_buf, /*ldb=*/nb, pb_go);
+                gemmPackedAB(krows, nb, oc, wref.panels, pb_go, 0.0f,
+                             gcol, nb);
+                for (int pi = 0; pi < l.wp; ++pi) {
+                    const SplitConvPatch &p = l.at(band.hi, pi);
+                    col2imViewStrided(
+                        gcol + l.colStart(pi), c, p.ih, p.iw, p.view,
+                        p.win, band.oy0, band.oy1,
+                        gxs[p.in_tensor] + in * c * p.ih * p.iw, nb,
+                        width);
+                }
             }
         }
-    }
-    if (shadow) {
-        const std::vector<Diagnostic> escapes = shadow->check();
-        SCNN_CHECK(escapes.empty(),
-                   "shadow-access validator: "
-                       << escapes.size()
-                       << " SA607 escape(s) in split conv backward; "
-                          "first: "
-                       << escapes.front().toString());
-    }
+    });
+
+    // wgrad + bias: output-channel blocks fan out, and each block
+    // replays the clone graph's order for its rows of grad_w —
+    // patches last to first, images ascending, each (patch, image)
+    // partial chained over the patch's bands. The partial is computed
+    // transposed (grad_out rows x columns^T), so it lands in grad_w's
+    // layout; every element still accumulates the same products in
+    // the same order as conv2dBackward's.
+    const std::vector<SplitWgradBlock> blocks = splitConvWgradBlocks(oc);
+    globalPool().parallelFor(
+        static_cast<int64_t>(blocks.size()), [&](int64_t begin,
+                                                 int64_t end) {
+            auto &warena = ScratchArena::tls();
+            auto wguard = warena.scope();
+            float *col = warena.alloc(krows * max_patch_cols);
+            float *pb_col =
+                warena.alloc(gemmPackedBSize(max_patch_cols, krows));
+            float *gb = warena.alloc(oc);
+            for (int64_t bi = begin; bi < end; ++bi) {
+                const SplitWgradBlock &blk =
+                    blocks[static_cast<size_t>(bi)];
+                const int64_t m = blk.o1 - blk.o0;
+                auto bguard = warena.scope();
+                float *pa_go =
+                    warena.alloc(gemmPackedASize(m, max_patch_cols));
+                float *part = warena.alloc(m * krows);
+                float *gw_rows = grad_w.data() + blk.o0 * krows;
+                if (shadow) {
+                    shadowSetItem(n * n_bands + bi);
+                    shadowRecord(gw_rows, m * krows, true);
+                    if (has_bias)
+                        shadowRecord(grad_b.data() + blk.o0, m, true);
+                }
+                for (int64_t q = 0; q < parts; ++q) {
+                    const SplitConvPatch &p =
+                        l.patches[static_cast<size_t>(parts - 1 - q)];
+                    const int64_t spatial = p.out_h * p.out_w;
+                    for (int64_t in = 0; in < n; ++in) {
+                        const float *img =
+                            patchInput(p, xs[p.in_tensor], c, in);
+                        const float *go = gys[p.out_tensor] +
+                                          (in * oc + blk.o0) * spatial;
+                        if (shadow)
+                            shadowRecordSpan(go, {0, m, spatial, 1, 0,
+                                                  spatial},
+                                             false);
+                        for (int64_t oy0 = 0; oy0 < p.outH();
+                             oy0 += kSplitConvRowBand) {
+                            const int64_t oy1 = std::min(
+                                p.outH(), oy0 + kSplitConvRowBand);
+                            const int64_t nb = (oy1 - oy0) * p.outW();
+                            im2colView(img, c, p.ih, p.iw, p.view, p.win,
+                                       oy0, oy1, col);
+                            gemmPackBStrided(nb, krows, col, /*rs=*/1,
+                                             /*cs=*/nb, pb_col);
+                            gemmPackAStrided(m, nb, 1.0f,
+                                             go + oy0 * p.out_w,
+                                             /*rs=*/spatial, /*cs=*/1,
+                                             pa_go);
+                            gemmPackedAB(m, krows, nb, pa_go, pb_col,
+                                         oy0 == 0 ? 0.0f : 1.0f, part,
+                                         krows);
+                        }
+                        for (int64_t i = 0; i < m * krows; ++i)
+                            gw_rows[i] += part[i];
+                        if (has_bias) {
+                            std::fill(gb, gb + m, 0.0f);
+                            addRowSums(go, m, spatial, gb);
+                            float *db = grad_b.data() + blk.o0;
+                            for (int64_t o = 0; o < m; ++o)
+                                db[o] += gb[o];
+                        }
+                    }
+                }
+            }
+        });
+    checkShadow(shadow);
+}
+
+void
+splitConv2dBackwardImpl(const Tensor &x, const Tensor &weight,
+                        const Tensor &grad_out, const Window2d &win,
+                        const SplitScheme2d &scheme, Tensor &grad_x,
+                        Tensor &grad_w, Tensor &grad_b,
+                        bool materialize)
+{
+    SCNN_REQUIRE(x.shape().rank() == 4, "split conv input must be NCHW");
+    const SplitConvLayout l = splitConvParentLayout(
+        win, x.shape().dim(2), x.shape().dim(3), scheme);
+    const ConvDims d =
+        convDims(l, x.shape().dim(0), x.shape().dim(1), weight);
+    SCNN_CHECK(grad_out.shape() == Shape({d.n, d.oc, l.patches[0].out_h,
+                                          l.patches[0].out_w}),
+               "split conv grad_out shape mismatch: "
+                   << grad_out.shape().toString());
+    SCNN_CHECK(grad_w.shape() == weight.shape(),
+               "grad_w must be pre-shaped like weight");
+    if (grad_b.numel() > 0)
+        SCNN_REQUIRE(grad_b.numel() == d.oc,
+                     "split conv grad_b size mismatch");
+    grad_x = Tensor(x.shape()); // zero: halo scatters accumulate
+    splitConvBackwardBands(l, d, x.data(), grad_out.data(), grad_x.data(),
+                           weight, grad_w, grad_b, materialize);
 }
 
 } // namespace
+
+void
+splitConv2dBackwardPatches(const SplitConvLayout &layout,
+                           const std::vector<const Tensor *> &xs,
+                           const Tensor &weight,
+                           const std::vector<const Tensor *> &grad_outs,
+                           std::vector<Tensor> &grad_xs, Tensor &grad_w,
+                           Tensor &grad_b)
+{
+    SCNN_REQUIRE(static_cast<int>(xs.size()) == layout.inputTensors() &&
+                     static_cast<int>(grad_outs.size()) ==
+                         layout.outputTensors(),
+                 "split conv patch backward: tensor count mismatch");
+    const Shape &s0 = xs[0]->shape();
+    SCNN_REQUIRE(s0.rank() == 4, "split conv input must be NCHW");
+    const ConvDims d = convDims(layout, s0.dim(0), s0.dim(1), weight);
+    for (const SplitConvPatch &p : layout.patches) {
+        SCNN_REQUIRE(xs[p.in_tensor]->shape() ==
+                         Shape({d.n, d.c, p.ih, p.iw}),
+                     "split conv patch input shape "
+                         << xs[p.in_tensor]->shape().toString());
+        SCNN_REQUIRE(grad_outs[p.out_tensor]->shape() ==
+                         Shape({d.n, d.oc, p.out_h, p.out_w}),
+                     "split conv patch grad_out shape "
+                         << grad_outs[p.out_tensor]->shape().toString());
+    }
+    std::vector<const float *> xp, gyp;
+    std::vector<float *> gxp;
+    grad_xs.resize(xs.size());
+    for (size_t k = 0; k < xs.size(); ++k) {
+        xp.push_back(xs[k]->data());
+        grad_xs[k] = Tensor(xs[k]->shape()); // zero: scatter target
+        gxp.push_back(grad_xs[k].data());
+    }
+    for (const Tensor *t : grad_outs)
+        gyp.push_back(t->data());
+    SCNN_CHECK(grad_w.shape() == weight.shape(),
+               "grad_w must be pre-shaped like weight");
+    if (grad_b.numel() > 0)
+        SCNN_REQUIRE(grad_b.numel() == d.oc,
+                     "split conv grad_b size mismatch");
+    splitConvBackwardPatchBands(layout, d, xp, gyp, gxp, weight, grad_w,
+                                grad_b);
+}
 
 void
 splitConv2dBackwardFused(const Tensor &x, const Tensor &weight,

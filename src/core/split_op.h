@@ -9,6 +9,7 @@
 #ifndef SCNN_CORE_SPLIT_OP_H
 #define SCNN_CORE_SPLIT_OP_H
 
+#include <cstddef>
 #include <iterator>
 #include <vector>
 
@@ -130,6 +131,105 @@ struct SplitBandItem
  * image * bands.size() + band_index. */
 std::vector<SplitBandItem> splitConvBandItems(const SplitScheme1d &h);
 
+/**
+ * One patch of a split conv layer, described in the memory it lives
+ * in: the patch reads the rectangle @c view of input tensor
+ * @c in_tensor (spatial extents ih x iw) under its patch-local window
+ * and writes an outH x outW block at (oy0, ox0) of output tensor
+ * @c out_tensor (spatial extents out_h x out_w). Tensor indices refer
+ * to the caller's tensor lists; the batch and channel extents are the
+ * layer's.
+ */
+struct SplitConvPatch
+{
+    int in_tensor = 0;
+    int64_t ih = 0, iw = 0;
+    PatchView view;
+    Window2d win; ///< patch-local window (the scheme's paddings)
+    int out_tensor = 0;
+    int64_t out_h = 0, out_w = 0;
+    int64_t oy0 = 0, ox0 = 0;
+
+    int64_t outH() const { return win.outH(view.ih); }
+    int64_t outW() const { return win.outW(view.iw); }
+};
+
+/**
+ * A split conv layer as an hp x wp grid of patches, row-major. Two
+ * forms share one band pipeline:
+ *  - the parent form (splitConvParentLayout): every patch is a view
+ *    of one input tensor and one output tensor, so halos are re-read
+ *    from the parent and each band's GEMM writes the parent output in
+ *    place;
+ *  - the patch form (splitConvPatchLayout): patch p reads input
+ *    tensor p and writes output tensor p — the patch-clone tensors of
+ *    a split graph, whose halos were already materialized upstream.
+ * Either way a band stages all width patches of a patch row into one
+ * column matrix, so the GEMM runs at the unsplit layer's width.
+ */
+struct SplitConvLayout
+{
+    int hp = 0;
+    int wp = 0;
+    std::vector<SplitConvPatch> patches;
+
+    const SplitConvPatch &
+    at(int hi, int wi) const
+    {
+        return patches[static_cast<size_t>(hi) * static_cast<size_t>(wp) +
+                       static_cast<size_t>(wi)];
+    }
+    /** True when every patch shares input and output tensor 0. */
+    bool parentForm() const;
+    /** Band column offset of width patch wi; colStart(wp) is the
+     * layer's full output width. */
+    int64_t colStart(int wi) const;
+    /** Number of distinct input (output) tensors the layout names. */
+    int inputTensors() const;
+    int outputTensors() const;
+};
+
+/** The parent form of @p scheme over an ih x iw input. */
+SplitConvLayout splitConvParentLayout(const Window2d &win, int64_t ih,
+                                      int64_t iw,
+                                      const SplitScheme2d &scheme);
+
+/**
+ * The patch form over an hp x wp grid: patch p (row-major) reads an
+ * in_h[p] x in_w[p] tensor under window wins[p]. Output extents follow
+ * from the windows and must agree along rows and columns.
+ */
+SplitConvLayout splitConvPatchLayout(int hp, int wp,
+                                     const std::vector<int64_t> &in_h,
+                                     const std::vector<int64_t> &in_w,
+                                     const std::vector<Window2d> &wins);
+
+/** The band list of a layout: each patch row's output rows chopped
+ * into kSplitConvRowBand-row bands, in (hi, oy0) order. Checks that
+ * the patch geometry is consistent. */
+std::vector<SplitBandItem> splitConvBandItems(const SplitConvLayout &l);
+
+/** Output-channel blocks the patch-form wgrad fans out over. */
+constexpr int64_t kSplitWgradBlocks = 2;
+
+/** Rows [o0, o1) of grad_w: one patch-form wgrad work item. */
+struct SplitWgradBlock
+{
+    int64_t o0;
+    int64_t o1;
+};
+
+/**
+ * The patch-form wgrad decomposition: grad_w's oc rows cut into at
+ * most kSplitWgradBlocks equal blocks (fixed, never derived from the
+ * thread count). Each block replays the clone graph's reduction
+ * order for its rows — patches last to first, images ascending, each
+ * (patch, image) partial chained over the patch's 16-row bands — so
+ * every element of grad_w and grad_b receives exactly the adds the
+ * per-patch conv2dBackward calls would make.
+ */
+std::vector<SplitWgradBlock> splitConvWgradBlocks(int64_t oc);
+
 ///@}
 
 /**
@@ -184,6 +284,35 @@ Tensor splitConv2dForwardFused(const Tensor &x, const Tensor &weight,
                                const SplitScheme2d &scheme,
                                bool use_winograd);
 
+/**
+ * Split conv forward over the patch form: patch p of @p layout reads
+ * @p xs[p] and writes @p outs[p], which is (re)allocated at its
+ * N x OC x outH x outW shape. This is how the executor runs a group
+ * of patch clones as one band-fused call. The kernel is the one
+ * conv2dForwardAuto picks for the layer (conv2dAutoPicksWinograd),
+ * and every output is bitwise equal to conv2dForwardAuto on the
+ * patch with its local window.
+ */
+void splitConv2dForwardPatches(const SplitConvLayout &layout,
+                               const std::vector<const Tensor *> &xs,
+                               const Tensor &weight, const Tensor &bias,
+                               std::vector<Tensor> &outs);
+
+/**
+ * Split conv backward over the patch form: @p grad_xs[p] is
+ * overwritten with the gradient of @p xs[p]; grad_w / grad_b
+ * accumulate. dgrad runs band-fused like splitConv2dBackward; wgrad
+ * and bias replay the per-patch reduction order (see
+ * splitConvWgradBlocks), so every gradient is bitwise equal to
+ * calling conv2dBackward on each patch, last patch first.
+ */
+void splitConv2dBackwardPatches(const SplitConvLayout &layout,
+                                const std::vector<const Tensor *> &xs,
+                                const Tensor &weight,
+                                const std::vector<const Tensor *> &grad_outs,
+                                std::vector<Tensor> &grad_xs,
+                                Tensor &grad_w, Tensor &grad_b);
+
 /** @name Per-(layer, split) weight-panel cache
  *
  * splitConv2dForwardFused packs its weight operand (GEMM A panels,
@@ -194,6 +323,12 @@ Tensor splitConv2dForwardFused(const Tensor &x, const Tensor &weight,
  * weight updates (training) repack instead of serving stale panels.
  */
 ///@{
+/** Cached layers (panel layouts) the LRU holds: room for the forward
+ * and backward panels of a split region of eight conv layers (vgg19
+ * at depth 0.5), so a training step repacks in place instead of
+ * evicting the other direction's panels. */
+constexpr size_t kSplitWeightCacheCapacity = 16;
+
 struct SplitWeightCacheStats
 {
     int64_t hits = 0;   ///< lookups served from cached panels

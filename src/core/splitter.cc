@@ -219,6 +219,7 @@ splitCnnTransform(const Graph &graph, const SplitOptions &options,
                     range_of(in_scheme.w, wi, in_shape.dim(3));
                 const std::string tag = "p" + std::to_string(hi) + "_" +
                                         std::to_string(wi);
+                builder.setPatch(hi, wi);
                 pm[old_input] = builder.slice(
                     remap.at(old_input), h0, h1, w0, w1,
                     "split." + tag);
@@ -284,6 +285,7 @@ splitCnnTransform(const Graph &graph, const SplitOptions &options,
                 }
             }
         }
+        builder.setPatch(-1, -1);
 
         // Join: concat rows along W, then rows along H (Eq. 7).
         std::vector<TensorId> rows;

@@ -199,11 +199,20 @@ GraphBuilder::addNode(Node node)
 {
     SCNN_CHECK(!built_, "builder already finalized");
     node.id = static_cast<NodeId>(graph_.nodes_.size());
+    node.patch_h = patch_h_;
+    node.patch_w = patch_w_;
     for (TensorId in : node.inputs)
         graph_.tensors_[static_cast<size_t>(in)].consumers.push_back(
             node.id);
     graph_.nodes_.push_back(std::move(node));
     return graph_.nodes_.back().id;
+}
+
+void
+GraphBuilder::setPatch(int hi, int wi)
+{
+    patch_h_ = hi;
+    patch_w_ = wi;
 }
 
 ParamId

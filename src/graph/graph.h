@@ -81,6 +81,9 @@ struct Node
     // Slice: crop region [h_start, h_end) x [w_start, w_end).
     int64_t h_start = 0, h_end = 0, w_start = 0, w_end = 0;
     int concat_dim = 3;      ///< Concat: 2 (H) or 3 (W)
+    // Split-CNN patch clones: the (row, column) of the patch grid the
+    // node computes; -1 outside a split region.
+    int patch_h = -1, patch_w = -1;
 };
 
 /** Metadata of one tensor (SSA value) in the graph. */
@@ -212,6 +215,12 @@ class GraphBuilder
     TensorId concat(const std::vector<TensorId> &xs, int dim,
                     std::string name = "");
 
+    /**
+     * Tag every node added from now on as part of patch (@p hi,
+     * @p wi) of a split region; (-1, -1) ends the tagging.
+     */
+    void setPatch(int hi, int wi);
+
     /** Record a Split-CNN candidate join point at tensor @p t. */
     void markCutPoint(TensorId t);
 
@@ -236,6 +245,7 @@ class GraphBuilder
 
     Graph graph_;
     int conv_count_ = 0;
+    int patch_h_ = -1, patch_w_ = -1;
     bool built_ = false;
 };
 

@@ -66,14 +66,43 @@ conv2dForward(const Tensor &x, const Tensor &weight, const Tensor &bias,
     return out;
 }
 
+bool
+conv2dAutoPicksWinograd(int64_t c, int64_t oc, const Window2d &win)
+{
+    return winogradApplicable(win) && winogradCostModelWins(c, oc);
+}
+
 Tensor
 conv2dForwardAuto(const Tensor &x, const Tensor &weight,
                   const Tensor &bias, const Window2d &win)
 {
-    if (winogradApplicable(win) &&
-        winogradCostModelWins(x.shape().dim(1), weight.shape().dim(0)))
+    if (conv2dAutoPicksWinograd(x.shape().dim(1), weight.shape().dim(0),
+                                win))
         return conv2dForwardWinograd(x, weight, bias, win);
     return conv2dForward(x, weight, bias, win);
+}
+
+void
+foldWgradPartials(const float *partials, int64_t count, int64_t krows,
+                  int64_t oc, float *grad_w)
+{
+    constexpr int64_t kTile = 32;
+    const int64_t o_blocks = (oc + kTile - 1) / kTile;
+    globalPool().parallelFor(o_blocks, [&](int64_t begin, int64_t end) {
+        for (int64_t ob = begin; ob < end; ++ob) {
+            const int64_t o0 = ob * kTile;
+            const int64_t o1 = std::min(oc, o0 + kTile);
+            for (int64_t r0 = 0; r0 < krows; r0 += kTile) {
+                const int64_t r1 = std::min(krows, r0 + kTile);
+                for (int64_t k = 0; k < count; ++k) {
+                    const float *gw = partials + k * krows * oc;
+                    for (int64_t o = o0; o < o1; ++o)
+                        for (int64_t r = r0; r < r1; ++r)
+                            grad_w[o * krows + r] += gw[r * oc + o];
+                }
+            }
+        }
+    });
 }
 
 void
@@ -184,19 +213,14 @@ conv2dBackward(const Tensor &x, const Tensor &weight,
                 }
             }
         });
-        for (int64_t wi = 0; wi < wn; ++wi) {
-            // gw_img is [krows x oc]; grad_w is [oc x krows].
-            const float *gw = gw_acc + wi * krows * oc;
-            float *dst = grad_w.data();
-            for (int64_t o = 0; o < oc; ++o)
-                for (int64_t r = 0; r < krows; ++r)
-                    dst[o * krows + r] += gw[r * oc + o];
-            if (has_bias) {
+        // gw_img is [krows x oc]; grad_w is [oc x krows].
+        foldWgradPartials(gw_acc, wn, krows, oc, grad_w.data());
+        if (has_bias)
+            for (int64_t wi = 0; wi < wn; ++wi) {
                 const float *gb = gb_acc + wi * oc;
                 for (int64_t o = 0; o < oc; ++o)
                     grad_b.at(o) += gb[o];
             }
-        }
     }
 }
 

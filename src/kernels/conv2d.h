@@ -30,6 +30,11 @@ Tensor conv2dForward(const Tensor &x, const Tensor &weight,
 Tensor conv2dForwardAuto(const Tensor &x, const Tensor &weight,
                          const Tensor &bias, const Window2d &win);
 
+/** The kernel conv2dForwardAuto picks for a c -> oc layer: true for
+ * Winograd. The executor's band-fused patch groups make the same
+ * choice, so lowering a split layer never changes its numerics. */
+bool conv2dAutoPicksWinograd(int64_t c, int64_t oc, const Window2d &win);
+
 /**
  * Backward convolution.
  *
@@ -45,6 +50,17 @@ Tensor conv2dForwardAuto(const Tensor &x, const Tensor &weight,
 void conv2dBackward(const Tensor &x, const Tensor &weight,
                     const Tensor &grad_out, const Window2d &win,
                     Tensor &grad_x, Tensor &grad_w, Tensor &grad_b);
+
+/**
+ * Fold @p count wgrad partials into @p grad_w in order: partial k is
+ * a [krows x oc] matrix (grad_w transposed) at partials + k*krows*oc,
+ * and grad_w[o][r] += partial[r][o] for k = 0, 1, ... Each element
+ * receives its adds in partial order, so the result is the same for
+ * any tiling and thread count; the transpose runs in cache tiles and
+ * output-channel blocks fan out across the pool.
+ */
+void foldWgradPartials(const float *partials, int64_t count,
+                       int64_t krows, int64_t oc, float *grad_w);
 
 } // namespace scnn
 

@@ -1,6 +1,7 @@
 #include "kernels/winograd.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "analysis/shadow_access.h"
 #include "kernels/gemm.h"
@@ -138,6 +139,117 @@ winogradPackWeights(const float *weight, int64_t oc, int64_t c,
 }
 
 void
+conv2dWinogradPatches(const WinogradPatchTask *tasks, int64_t count,
+                      int64_t c, const float *pu, int64_t oc,
+                      const float *bias)
+{
+    // Tile offsets: task i's tiles are columns [t0[i], t0[i+1]) of
+    // every V_e / M_e matrix.
+    std::vector<int64_t> t0(static_cast<size_t>(count) + 1, 0);
+    for (int64_t i = 0; i < count; ++i) {
+        const WinogradPatchTask &k = tasks[i];
+        SCNN_CHECK(winogradApplicable(k.win), "not a winograd geometry");
+        const int64_t tiles_x = (k.win.outW(k.view.iw) + 1) / 2;
+        t0[static_cast<size_t>(i) + 1] =
+            t0[static_cast<size_t>(i)] +
+            std::max<int64_t>(0, k.ty1 - k.ty0) * tiles_x;
+    }
+    const int64_t tiles = t0.back();
+    if (tiles <= 0)
+        return;
+
+    auto &arena = ScratchArena::tls();
+    auto guard = arena.scope();
+    float *v = arena.alloc(16 * c * tiles);
+    float *m = arena.alloc(16 * oc * tiles);
+
+    // Phase 1: gather + transform every input tile of every task,
+    // scattering transform point e of (channel ic, tile t) to
+    // V_e(ic, t). Channel-major loop keeps the per-e rows of V
+    // written sequentially in t.
+    for (int64_t i = 0; i < count; ++i) {
+        const WinogradPatchTask &k = tasks[i];
+        const PatchView &view = k.view;
+        const int64_t tiles_x = (k.win.outW(view.iw) + 1) / 2;
+        if (k.ty1 <= k.ty0)
+            continue;
+        // Shadow claim: the tile gather stays inside the patch's
+        // contiguous input hull (same span im2colViewStrided claims).
+        shadowRecord(k.img + view.r0 * k.iw + view.c0,
+                     (c - 1) * k.ih * k.iw + (view.ih - 1) * k.iw +
+                         view.iw,
+                     false);
+        for (int64_t ic = 0; ic < c; ++ic) {
+            const float *chan = k.img + ic * k.ih * k.iw;
+            for (int64_t ty = k.ty0; ty < k.ty1; ++ty)
+                for (int64_t tx = 0; tx < tiles_x; ++tx) {
+                    const int64_t t = t0[static_cast<size_t>(i)] +
+                                      (ty - k.ty0) * tiles_x + tx;
+                    const int64_t y0 = 2 * ty - k.win.ph_b;
+                    const int64_t x0 = 2 * tx - k.win.pw_b;
+                    float d[4][4];
+                    for (int r = 0; r < 4; ++r)
+                        for (int col = 0; col < 4; ++col) {
+                            const int64_t yy = y0 + r;
+                            const int64_t xx = x0 + col;
+                            d[r][col] =
+                                (yy < 0 || yy >= view.ih || xx < 0 ||
+                                 xx >= view.iw)
+                                    ? 0.0f
+                                    : chan[(view.r0 + yy) * k.iw +
+                                           view.c0 + xx];
+                        }
+                    float tile[4][4];
+                    transformInput(d, tile);
+                    for (int e = 0; e < 16; ++e)
+                        v[(e * c + ic) * tiles + t] = tile[e / 4][e % 4];
+                }
+        }
+    }
+
+    // Phase 2: one packed GEMM per transform point over every task's
+    // tiles, M_e = U_e (oc x c) * V_e (c x tiles). Each element
+    // accumulates channels ascending with the same per-step rounding
+    // whatever the tile count, so batching patches does not change a
+    // bit of the result.
+    const int64_t pa_sz = gemmPackedASize(oc, c);
+    for (int e = 0; e < 16; ++e)
+        gemmPackedA(oc, tiles, c, pu + e * pa_sz,
+                    v + e * c * tiles, 0.0f, m + e * oc * tiles);
+
+    // Phase 3: inverse-transform each tile per output channel and
+    // write the clipped 2x2 block into the task's strided output.
+    for (int64_t i = 0; i < count; ++i) {
+        const WinogradPatchTask &k = tasks[i];
+        const int64_t oh_p = k.win.outH(k.view.ih);
+        const int64_t ow_p = k.win.outW(k.view.iw);
+        const int64_t tiles_x = (ow_p + 1) / 2;
+        for (int64_t o = 0; o < oc; ++o) {
+            const float b = bias != nullptr ? bias[o] : 0.0f;
+            float *ochan = k.out + o * k.out_oh * k.out_ow;
+            for (int64_t ty = k.ty0; ty < k.ty1; ++ty)
+                for (int64_t tx = 0; tx < tiles_x; ++tx) {
+                    const int64_t t = t0[static_cast<size_t>(i)] +
+                                      (ty - k.ty0) * tiles_x + tx;
+                    float mm[4][4];
+                    for (int e = 0; e < 16; ++e)
+                        mm[e / 4][e % 4] = m[(e * oc + o) * tiles + t];
+                    float y[2][2];
+                    transformOutput(mm, y);
+                    for (int r = 0; r < 2; ++r)
+                        for (int col = 0; col < 2; ++col) {
+                            const int64_t py = 2 * ty + r;
+                            const int64_t px = 2 * tx + col;
+                            if (py < oh_p && px < ow_p)
+                                ochan[(k.oy0 + py) * k.out_ow + k.ox0 +
+                                      px] = y[r][col] + b;
+                        }
+                }
+        }
+    }
+}
+
+void
 conv2dWinogradPatch(const float *img, int64_t c, int64_t ih, int64_t iw,
                     const PatchView &view, const Window2d &win,
                     const float *pu, int64_t oc, const float *bias,
@@ -145,88 +257,9 @@ conv2dWinogradPatch(const float *img, int64_t c, int64_t ih, int64_t iw,
                     int64_t out_oh, int64_t out_ow, int64_t oy0,
                     int64_t ox0)
 {
-    SCNN_CHECK(winogradApplicable(win), "not a winograd geometry");
-    const int64_t oh_p = win.outH(view.ih);
-    const int64_t ow_p = win.outW(view.iw);
-    const int64_t tiles_x = (ow_p + 1) / 2;
-    const int64_t tiles = (ty1 - ty0) * tiles_x;
-    if (tiles <= 0)
-        return;
-    // Shadow claim: the tile gather stays inside the patch's
-    // contiguous input hull (same span im2colViewStrided claims).
-    shadowRecord(img + view.r0 * iw + view.c0,
-                 (c - 1) * ih * iw + (view.ih - 1) * iw + view.iw,
-                 false);
-
-    auto &arena = ScratchArena::tls();
-    auto guard = arena.scope();
-    float *v = arena.alloc(16 * c * tiles);
-    float *m = arena.alloc(16 * oc * tiles);
-
-    // Phase 1: gather + transform every input tile of the block,
-    // scattering transform point e of (channel ic, tile t) to
-    // V_e(ic, t). Channel-major loop keeps the per-e rows of V
-    // written sequentially in t.
-    for (int64_t ic = 0; ic < c; ++ic) {
-        const float *chan = img + ic * ih * iw;
-        for (int64_t ty = ty0; ty < ty1; ++ty)
-            for (int64_t tx = 0; tx < tiles_x; ++tx) {
-                const int64_t t = (ty - ty0) * tiles_x + tx;
-                const int64_t y0 = 2 * ty - win.ph_b;
-                const int64_t x0 = 2 * tx - win.pw_b;
-                float d[4][4];
-                for (int r = 0; r < 4; ++r)
-                    for (int col = 0; col < 4; ++col) {
-                        const int64_t yy = y0 + r;
-                        const int64_t xx = x0 + col;
-                        d[r][col] =
-                            (yy < 0 || yy >= view.ih || xx < 0 ||
-                             xx >= view.iw)
-                                ? 0.0f
-                                : chan[(view.r0 + yy) * iw +
-                                       view.c0 + xx];
-                    }
-                float tile[4][4];
-                transformInput(d, tile);
-                for (int e = 0; e < 16; ++e)
-                    v[(e * c + ic) * tiles + t] = tile[e / 4][e % 4];
-            }
-    }
-
-    // Phase 2: one packed GEMM per transform point,
-    // M_e = U_e (oc x c) * V_e (c x tiles). Under the scalar
-    // microkernel this accumulates channels ascending with the same
-    // per-step rounding as a scalar MAC loop, so M is bit-identical
-    // to the per-tile formulation.
-    const int64_t pa_sz = gemmPackedASize(oc, c);
-    for (int e = 0; e < 16; ++e)
-        gemmPackedA(oc, tiles, c, pu + e * pa_sz,
-                    v + e * c * tiles, 0.0f, m + e * oc * tiles);
-
-    // Phase 3: inverse-transform each tile per output channel and
-    // write the clipped 2x2 block into the strided parent output.
-    for (int64_t o = 0; o < oc; ++o) {
-        const float b = bias != nullptr ? bias[o] : 0.0f;
-        float *ochan = out + o * out_oh * out_ow;
-        for (int64_t ty = ty0; ty < ty1; ++ty)
-            for (int64_t tx = 0; tx < tiles_x; ++tx) {
-                const int64_t t = (ty - ty0) * tiles_x + tx;
-                float mm[4][4];
-                for (int e = 0; e < 16; ++e)
-                    mm[e / 4][e % 4] =
-                        m[(e * oc + o) * tiles + t];
-                float y[2][2];
-                transformOutput(mm, y);
-                for (int r = 0; r < 2; ++r)
-                    for (int col = 0; col < 2; ++col) {
-                        const int64_t py = 2 * ty + r;
-                        const int64_t px = 2 * tx + col;
-                        if (py < oh_p && px < ow_p)
-                            ochan[(oy0 + py) * out_ow + ox0 + px] =
-                                y[r][col] + b;
-                    }
-            }
-    }
+    const WinogradPatchTask task{img,  ih,  iw,     view,   win, ty0,
+                                 ty1,  out, out_oh, out_ow, oy0, ox0};
+    conv2dWinogradPatches(&task, 1, c, pu, oc, bias);
 }
 
 Tensor
@@ -264,18 +297,32 @@ conv2dForwardWinograd(const Tensor &x, const Tensor &weight,
     const int64_t chunks =
         (tiles_y + kTileRowChunk - 1) / kTileRowChunk;
 
+    // A worker batches its items' tiles into shared GEMMs of at
+    // least kMinBatchTiles columns; batching never changes a byte of
+    // the output.
+    constexpr int64_t kMinBatchTiles = 64;
+    const int64_t tiles_x = (ow + 1) / 2;
     globalPool().parallelFor(n * chunks, [&](int64_t b, int64_t e) {
+        std::vector<WinogradPatchTask> tasks;
+        int64_t batched = 0;
         for (int64_t it = b; it < e; ++it) {
             const int64_t in = it / chunks;
             const int64_t ch = it % chunks;
             const int64_t ty0 = ch * kTileRowChunk;
             const int64_t ty1 =
                 std::min(tiles_y, ty0 + kTileRowChunk);
-            conv2dWinogradPatch(x.data() + in * c * ih * iw, c, ih,
-                                iw, PatchView::full(ih, iw), win, pu,
-                                oc, bias_ptr, ty0, ty1,
-                                out.data() + in * oc * oh * ow, oh,
-                                ow, 0, 0);
+            tasks.push_back({x.data() + in * c * ih * iw, ih, iw,
+                             PatchView::full(ih, iw), win, ty0, ty1,
+                             out.data() + in * oc * oh * ow, oh, ow, 0,
+                             0});
+            batched += (ty1 - ty0) * tiles_x;
+            if (batched >= kMinBatchTiles || it + 1 == e) {
+                conv2dWinogradPatches(tasks.data(),
+                                      static_cast<int64_t>(tasks.size()),
+                                      c, pu, oc, bias_ptr);
+                tasks.clear();
+                batched = 0;
+            }
         }
     });
     return out;

@@ -103,6 +103,31 @@ void conv2dWinogradPatch(const float *img, int64_t c, int64_t ih,
                          int64_t oc, const float *bias, int64_t ty0,
                          int64_t ty1, float *out, int64_t out_oh,
                          int64_t out_ow, int64_t oy0, int64_t ox0);
+
+/** One patch's share of a conv2dWinogradPatches call: the arguments
+ * of conv2dWinogradPatch. */
+struct WinogradPatchTask
+{
+    const float *img;
+    int64_t ih, iw;
+    PatchView view;
+    Window2d win;
+    int64_t ty0, ty1;
+    float *out;
+    int64_t out_oh, out_ow;
+    int64_t oy0, ox0;
+};
+
+/**
+ * conv2dWinogradPatch over several patches at once: every task's
+ * tiles are transformed into one V matrix per transform point, so
+ * the 16 GEMMs run once at the summed tile count instead of once per
+ * patch. Each output element sees exactly the arithmetic of
+ * conv2dWinogradPatch on its own patch, so the bytes are identical.
+ */
+void conv2dWinogradPatches(const WinogradPatchTask *tasks, int64_t count,
+                           int64_t c, const float *pu, int64_t oc,
+                           const float *bias);
 ///@}
 
 } // namespace scnn

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <queue>
 
 #include "analysis/parallel_model.h"
 #include "kernels/activations.h"
@@ -107,18 +108,195 @@ computeExecutionWaves(const Graph &graph)
     return waves;
 }
 
+namespace {
+
+/** The patch-form layout of the conv clones @p grid (row-major over
+ * an hp x wp grid of patches). */
+SplitConvLayout
+groupLayout(const Graph &graph, const std::vector<NodeId> &grid, int hp,
+            int wp)
+{
+    std::vector<int64_t> in_h, in_w;
+    std::vector<Window2d> wins;
+    for (NodeId id : grid) {
+        const Node &n = graph.node(id);
+        const Shape &in = graph.tensor(n.inputs[0]).shape;
+        in_h.push_back(in.dim(2));
+        in_w.push_back(in.dim(3));
+        wins.push_back(n.win);
+    }
+    SplitConvLayout layout = splitConvPatchLayout(hp, wp, in_h, in_w, wins);
+    splitConvBandItems(layout); // checks that the patches tile a grid
+    return layout;
+}
+
+} // namespace
+
+std::vector<ExecutionWave>
+computeExecutionSchedule(const Graph &graph)
+{
+    std::vector<ExecutionWave> schedule;
+    for (const std::vector<NodeId> &wave : computeExecutionWaves(graph)) {
+        // Conv patch clones of one source conv share its weight.
+        std::vector<std::vector<NodeId>> by_weight;
+        std::vector<ParamId> weights;
+        for (NodeId id : wave) {
+            const Node &n = graph.node(id);
+            if (n.kind != OpKind::Conv2d || n.patch_h < 0 ||
+                n.patch_w < 0)
+                continue;
+            const auto it =
+                std::find(weights.begin(), weights.end(), n.params[0]);
+            if (it == weights.end()) {
+                weights.push_back(n.params[0]);
+                by_weight.push_back({id});
+            } else {
+                by_weight[static_cast<size_t>(it - weights.begin())]
+                    .push_back(id);
+            }
+        }
+        ExecutionWave ew;
+        std::vector<bool> grouped(graph.nodes().size(), false);
+        for (const std::vector<NodeId> &members : by_weight) {
+            if (members.size() < 2)
+                continue;
+            int hp = 0, wp = 0;
+            for (NodeId id : members) {
+                hp = std::max(hp, graph.node(id).patch_h + 1);
+                wp = std::max(wp, graph.node(id).patch_w + 1);
+            }
+            if (static_cast<size_t>(hp) * static_cast<size_t>(wp) !=
+                members.size())
+                continue;
+            std::vector<NodeId> grid(members.size(), -1);
+            bool complete = true;
+            for (NodeId id : members) {
+                NodeId &slot = grid[static_cast<size_t>(
+                    graph.node(id).patch_h * wp + graph.node(id).patch_w)];
+                complete = complete && slot < 0;
+                slot = id;
+            }
+            if (!complete)
+                continue;
+            for (NodeId id : grid)
+                grouped[static_cast<size_t>(id)] = true;
+            SplitConvLayout layout = groupLayout(graph, grid, hp, wp);
+            ew.groups.push_back({std::move(grid), std::move(layout)});
+        }
+        for (NodeId id : wave)
+            if (!grouped[static_cast<size_t>(id)])
+                ew.nodes.push_back(id);
+        schedule.push_back(std::move(ew));
+    }
+    return schedule;
+}
+
+std::vector<Executor::BackwardUnit>
+Executor::backwardSchedule() const
+{
+    // Units: each patch row of a conv group, and every other node.
+    std::vector<BackwardUnit> units;
+    std::vector<int> unit_of(graph_.nodes().size(), -1);
+    for (const ExecutionWave &wave : waves_)
+        for (const ConvGroup &g : wave.groups)
+            for (int hi = 0; hi < g.layout.hp; ++hi) {
+                BackwardUnit u;
+                SplitConvLayout row;
+                row.hp = 1;
+                row.wp = g.layout.wp;
+                for (int wi = 0; wi < g.layout.wp; ++wi) {
+                    const size_t k = static_cast<size_t>(
+                        hi * g.layout.wp + wi);
+                    u.nodes.push_back(g.nodes[k]);
+                    SplitConvPatch p = g.layout.patches[k];
+                    p.in_tensor = p.out_tensor = wi;
+                    row.patches.push_back(p);
+                    unit_of[static_cast<size_t>(g.nodes[k])] =
+                        static_cast<int>(units.size());
+                }
+                u.layout = std::move(row);
+                units.push_back(std::move(u));
+            }
+    for (const Node &n : graph_.nodes())
+        if (unit_of[static_cast<size_t>(n.id)] < 0) {
+            unit_of[static_cast<size_t>(n.id)] =
+                static_cast<int>(units.size());
+            units.push_back({{n.id}, std::nullopt});
+        }
+
+    // A unit runs once the gradients of its outputs are final (every
+    // consumer has run); among ready units the one latest in
+    // topological order goes first. Without groups that is exactly
+    // the reverse topological order; with them, each patch row's
+    // chain runs through before the next row's, so only about one
+    // patch row of gradients is live at a time.
+    std::vector<int64_t> pos(graph_.nodes().size());
+    for (size_t i = 0; i < topo_.size(); ++i)
+        pos[static_cast<size_t>(topo_[i])] = static_cast<int64_t>(i);
+    std::vector<size_t> pending(graph_.tensors().size());
+    for (const TensorInfo &t : graph_.tensors())
+        pending[static_cast<size_t>(t.id)] = t.consumers.size();
+    std::vector<int> waiting(units.size(), 0);
+    std::priority_queue<std::pair<int64_t, int>> ready;
+    for (size_t u = 0; u < units.size(); ++u) {
+        int64_t last = -1;
+        for (NodeId id : units[u].nodes) {
+            last = std::max(last, pos[static_cast<size_t>(id)]);
+            waiting[u] += pending[static_cast<size_t>(
+                              graph_.node(id).output)] > 0;
+        }
+        units[u].last = last;
+        if (waiting[u] == 0)
+            ready.push({last, static_cast<int>(u)});
+    }
+    std::vector<BackwardUnit> order;
+    order.reserve(units.size());
+    while (!ready.empty()) {
+        const int u = ready.top().second;
+        ready.pop();
+        for (NodeId id : units[static_cast<size_t>(u)].nodes)
+            for (TensorId t : graph_.node(id).inputs)
+                if (--pending[static_cast<size_t>(t)] == 0) {
+                    const int v = unit_of[static_cast<size_t>(
+                        graph_.tensor(t).producer)];
+                    if (--waiting[static_cast<size_t>(v)] == 0)
+                        ready.push({units[static_cast<size_t>(v)].last, v});
+                }
+        order.push_back(std::move(units[static_cast<size_t>(u)]));
+    }
+    SCNN_CHECK(order.size() == units.size(),
+               "backward schedule left units unscheduled");
+    return order;
+}
+
 Executor::Executor(const Graph &graph, ParamStore &params)
     : graph_(graph), params_(params), topo_(graph.topoOrder()),
-      waves_(computeExecutionWaves(graph))
+      waves_(computeExecutionSchedule(graph)),
+      readers_(graph.tensors().size(), 0)
 {
+    backward_ = backwardSchedule();
     SCNN_REQUIRE(params_.compatibleWith(graph_),
                  "parameter store incompatible with graph");
-    // Debug hook: prove the wave schedule race-free before the first
+    for (const Node &n : graph_.nodes())
+        for (TensorId t : n.inputs)
+            ++readers_[static_cast<size_t>(t)];
+    // Debug hook: prove the schedule race-free before the first
     // forward() runs it. Training mode is the superset model (it adds
-    // the deferred BN running-stat epochs).
+    // the deferred BN running-stat epochs); each conv group's
+    // band-fused backward is a proof obligation of its own.
     if (lintParallelEnabled()) {
-        const std::vector<Diagnostic> diags =
+        std::vector<Diagnostic> diags =
             analyzeParallelPlan(buildExecutorWavePlan(graph_, true));
+        for (const ExecutionWave &wave : waves_)
+            for (const ConvGroup &g : wave.groups) {
+                const Node &n = graph_.node(g.nodes[0]);
+                const Shape &in = graph_.tensor(n.inputs[0]).shape;
+                for (Diagnostic &d : analyzeParallelPlan(
+                         buildSplitConvBackwardPlan(
+                             std::min<int64_t>(in.dim(0), 2), in.dim(1),
+                             n.out_channels, g.layout)))
+                    diags.push_back(std::move(d));
+            }
         SCNN_CHECK(diags.empty(),
                    "parallel-safety lint: "
                        << diags.size()
@@ -230,6 +408,27 @@ Executor::computeNode(const Node &n, const Tensor &input, bool training,
     return out;
 }
 
+void
+Executor::forwardGroup(const ConvGroup &g, ForwardCache &c)
+{
+    const Node &n0 = graph_.node(g.nodes[0]);
+    std::vector<const Tensor *> xs;
+    xs.reserve(g.nodes.size());
+    for (NodeId id : g.nodes) {
+        const auto &slot =
+            c.values[static_cast<size_t>(graph_.node(id).inputs[0])];
+        SCNN_CHECK(slot.has_value(), "conv group input not yet computed");
+        xs.push_back(&*slot);
+    }
+    std::vector<Tensor> outs;
+    splitConv2dForwardPatches(
+        g.layout, xs, params_.value(n0.params[0]),
+        n0.has_bias ? params_.value(n0.params[1]) : Tensor(), outs);
+    for (size_t k = 0; k < g.nodes.size(); ++k)
+        c.values[static_cast<size_t>(graph_.node(g.nodes[k]).output)] =
+            std::move(outs[k]);
+}
+
 Tensor
 Executor::forward(const Tensor &input, bool training, ForwardCache *cache)
 {
@@ -239,77 +438,83 @@ Executor::forward(const Tensor &input, bool training, ForwardCache *cache)
     c.argmax.assign(graph_.nodes().size(), {});
     c.bn.assign(graph_.nodes().size(), {});
 
-    if (globalThreads() <= 1) {
-        // Serial path: identical to the seed executor.
+    // Inference without a cache keeps only live values: each is freed
+    // on the caller, between waves, once its last reader has run.
+    const TensorId out_id = graph_.outputTensor();
+    std::vector<int> pending;
+    if (cache == nullptr)
+        pending = readers_;
+
+    // Wave-parallel schedule: nodes within a wave are independent and
+    // write disjoint cache slots. Conv groups run first, one
+    // band-fused call each, issued from the caller so their kernels
+    // see the whole pool; the remaining nodes fan out across the
+    // pool. Batchnorm running-stat updates are deferred and applied
+    // serially below in topological order — training-mode BN never
+    // reads running stats, so outputs are unchanged and the updates
+    // compound exactly as a serial pass would. Kernels are
+    // bitwise-deterministic for any thread count, so the outputs are
+    // too.
+    auto &pool = globalPool();
+    auto run = [&](NodeId id) {
+        const Node &n = graph_.node(id);
+        Tensor out = computeNode(n, input, training,
+                                 /*defer_bn_updates=*/true, c);
+        c.values[static_cast<size_t>(n.output)] = std::move(out);
+    };
+    for (const ExecutionWave &wave : waves_) {
+        for (const ConvGroup &g : wave.groups)
+            forwardGroup(g, c);
+        if (static_cast<int>(wave.nodes.size()) < pool.threads()) {
+            // Narrow wave: fewer nodes than workers. Nested
+            // parallelFor calls run inline on their worker, so
+            // fanning such a wave across the pool would strand each
+            // node's internal kernel parallelism (GEMM column tiles,
+            // split patch x row-tile items) on a single thread. Run
+            // the nodes serially on the caller instead so every
+            // kernel sees the full pool.
+            for (NodeId id : wave.nodes)
+                run(id);
+        } else {
+            pool.parallelFor(static_cast<int64_t>(wave.nodes.size()),
+                             [&](int64_t begin, int64_t end) {
+                                 for (int64_t i = begin; i < end; ++i)
+                                     run(wave.nodes[static_cast<size_t>(
+                                         i)]);
+                             });
+        }
+        if (cache != nullptr)
+            continue;
+        auto release = [&](NodeId id) {
+            for (TensorId t : graph_.node(id).inputs)
+                if (--pending[static_cast<size_t>(t)] == 0 && t != out_id)
+                    c.values[static_cast<size_t>(t)].reset();
+        };
+        for (const ConvGroup &g : wave.groups)
+            for (NodeId id : g.nodes)
+                release(id);
+        for (NodeId id : wave.nodes)
+            release(id);
+    }
+    if (training) {
         for (NodeId id : topo_) {
             const Node &n = graph_.node(id);
-            Tensor out = computeNode(n, input, training,
-                                     /*defer_bn_updates=*/false, c);
-            c.values[static_cast<size_t>(n.output)] = std::move(out);
-        }
-    } else {
-        // Wave-parallel path: nodes within a wave are independent and
-        // write disjoint cache slots, so each wave fans out across
-        // the pool. Batchnorm running-stat updates are deferred and
-        // applied serially below in topological order — training-mode
-        // BN never reads running stats, so outputs are unchanged and
-        // the updates compound exactly as the serial path's.
-        auto &pool = globalPool();
-        for (const auto &wave : waves_) {
-            if (static_cast<int>(wave.size()) < pool.threads()) {
-                // Narrow wave: fewer nodes than workers. Nested
-                // parallelFor calls run inline on their worker, so
-                // fanning such a wave across the pool would strand
-                // each node's internal kernel parallelism (GEMM
-                // column tiles, split patch x row-tile items) on a
-                // single thread. Run the nodes serially on the
-                // caller instead so every kernel sees the full pool.
-                // Outputs are unchanged either way: kernels are
-                // bitwise-deterministic for any thread count.
-                for (NodeId id : wave) {
-                    const Node &n = graph_.node(id);
-                    Tensor out =
-                        computeNode(n, input, training,
-                                    /*defer_bn_updates=*/true, c);
-                    c.values[static_cast<size_t>(n.output)] =
-                        std::move(out);
-                }
-                continue;
-            }
-            pool.parallelFor(
-                static_cast<int64_t>(wave.size()),
-                [&](int64_t begin, int64_t end) {
-                    for (int64_t i = begin; i < end; ++i) {
-                        const Node &n = graph_.node(
-                            wave[static_cast<size_t>(i)]);
-                        Tensor out =
-                            computeNode(n, input, training,
-                                        /*defer_bn_updates=*/true, c);
-                        c.values[static_cast<size_t>(n.output)] =
-                            std::move(out);
-                    }
-                });
-        }
-        if (training) {
-            for (NodeId id : topo_) {
-                const Node &n = graph_.node(id);
-                if (n.kind == OpKind::BatchNorm)
-                    applyBatchNormRunningUpdate(
-                        c.bn[static_cast<size_t>(id)], 0.1f,
-                        params_.value(n.params[2]),
-                        params_.value(n.params[3]));
-            }
+            if (n.kind == OpKind::BatchNorm)
+                applyBatchNormRunningUpdate(
+                    c.bn[static_cast<size_t>(id)], 0.1f,
+                    params_.value(n.params[2]),
+                    params_.value(n.params[3]));
         }
     }
 
-    const TensorId out_id = graph_.outputTensor();
     SCNN_CHECK(c.values[static_cast<size_t>(out_id)].has_value(),
                "graph output not computed");
     return *c.values[static_cast<size_t>(out_id)];
 }
 
 void
-Executor::backward(const ForwardCache &cache, const Tensor &grad_output)
+Executor::backward(const ForwardCache &cache, const Tensor &grad_output,
+                   Tensor *grad_input)
 {
     std::vector<std::optional<Tensor>> grads(graph_.tensors().size());
     const TensorId out_id = graph_.outputTensor();
@@ -328,13 +533,52 @@ Executor::backward(const ForwardCache &cache, const Tensor &grad_output)
             slot = std::move(g);
     };
 
-    for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
-        const Node &n = graph_.node(*it);
+    // A conv group's backward: one band-fused call over the patch
+    // tensors. A member whose output never influenced the loss
+    // contributes a zero gradient.
+    auto back_group = [&](const BackwardUnit &g) {
+        const Node &n0 = graph_.node(g.nodes[0]);
+        std::vector<const Tensor *> xs, gos;
+        std::vector<Tensor> zeros;
+        zeros.reserve(g.nodes.size());
+        bool any = false;
+        for (NodeId id : g.nodes) {
+            const Node &n = graph_.node(id);
+            xs.push_back(&val(n.inputs[0]));
+            any = any || grads[static_cast<size_t>(n.output)].has_value();
+        }
+        if (!any)
+            return;
+        for (NodeId id : g.nodes) {
+            const Node &n = graph_.node(id);
+            auto &gslot = grads[static_cast<size_t>(n.output)];
+            if (!gslot.has_value()) {
+                zeros.emplace_back(graph_.tensor(n.output).shape);
+                gos.push_back(&zeros.back());
+            } else {
+                gos.push_back(&*gslot);
+            }
+        }
+        std::vector<Tensor> gxs;
+        Tensor gb_empty;
+        splitConv2dBackwardPatches(
+            *g.layout, xs, params_.value(n0.params[0]), gos, gxs,
+            params_.grad(n0.params[0]),
+            n0.has_bias ? params_.grad(n0.params[1]) : gb_empty);
+        for (size_t k = 0; k < g.nodes.size(); ++k) {
+            const Node &n = graph_.node(g.nodes[k]);
+            accum(n.inputs[0], std::move(gxs[k]));
+            grads[static_cast<size_t>(n.output)].reset();
+        }
+    };
+
+    auto back_node = [&](NodeId id) {
+        const Node &n = graph_.node(id);
         if (n.kind == OpKind::Input)
-            continue;
+            return;
         auto &gslot = grads[static_cast<size_t>(n.output)];
         if (!gslot.has_value())
-            continue; // output never influenced the loss
+            return; // output never influenced the loss
         const Tensor &go = *gslot;
 
         switch (n.kind) {
@@ -426,6 +670,19 @@ Executor::backward(const ForwardCache &cache, const Tensor &grad_output)
           }
         }
         gslot.reset(); // free the consumed gradient early
+    };
+
+    for (const BackwardUnit &u : backward_) {
+        if (u.layout)
+            back_group(u);
+        else
+            back_node(u.nodes[0]);
+    }
+    if (grad_input != nullptr) {
+        const TensorId in_id = graph_.inputTensor();
+        auto &slot = grads[static_cast<size_t>(in_id)];
+        *grad_input = slot.has_value() ? std::move(*slot)
+                                       : Tensor(graph_.tensor(in_id).shape);
     }
 }
 

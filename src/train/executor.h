@@ -11,6 +11,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/split_op.h"
 #include "graph/graph.h"
 #include "kernels/batchnorm.h"
 #include "tensor/tensor.h"
@@ -74,6 +75,38 @@ struct ForwardCache
 std::vector<std::vector<NodeId>> computeExecutionWaves(const Graph &graph);
 
 /**
+ * A group of Conv2d patch clones the executor runs as one band-fused
+ * call: the nodes splitCnnTransform made from one source conv (they
+ * share its weight ParamId), in row-major patch-grid order, and the
+ * patch-form layout over their own input and output tensors.
+ */
+struct ConvGroup
+{
+    std::vector<NodeId> nodes;
+    SplitConvLayout layout;
+};
+
+/** One dependency wave of the executor's schedule. */
+struct ExecutionWave
+{
+    /** Patch-clone conv groups, each issued from the caller so its
+     * band-fused kernel has the whole pool. */
+    std::vector<ConvGroup> groups;
+    /** Every other node of the wave, in topological order. */
+    std::vector<NodeId> nodes;
+};
+
+/**
+ * The executor's schedule: computeExecutionWaves, with each wave's
+ * Conv2d nodes that share a weight and tile a complete patch grid
+ * pulled out as one ConvGroup. A wave holds every clone of a source
+ * node (patch subgraphs are isomorphic), so groups need no
+ * cross-wave scheduling. Unsplit graphs have no groups. Exported so
+ * buildExecutorWavePlan models the schedule that runs.
+ */
+std::vector<ExecutionWave> computeExecutionSchedule(const Graph &graph);
+
+/**
  * Graph executor bound to a graph and a parameter store.
  */
 class Executor
@@ -97,8 +130,18 @@ class Executor
     /**
      * Back-propagate @p grad_output (gradient w.r.t. the graph
      * output) and accumulate parameter gradients into the store.
+     * Nodes run in reverse topological order, except that each
+     * patch row of a conv group runs as one band-fused
+     * splitConv2dBackwardPatches call once all its members' output
+     * gradients are final; it is bitwise equal to the per-clone
+     * conv2dBackward calls it replaces, and rows run last to first,
+     * so gradients accumulate exactly as in the clone graph.
+     *
+     * @param grad_input [out] when non-null, receives the gradient
+     *        w.r.t. the graph input.
      */
-    void backward(const ForwardCache &cache, const Tensor &grad_output);
+    void backward(const ForwardCache &cache, const Tensor &grad_output,
+                  Tensor *grad_input = nullptr);
 
   private:
     /**
@@ -110,17 +153,37 @@ class Executor
     Tensor computeNode(const Node &n, const Tensor &input, bool training,
                        bool defer_bn_updates, ForwardCache &c);
 
+    /** Run a conv group's forward as one band-fused call. */
+    void forwardGroup(const ConvGroup &g, ForwardCache &c);
+
+    /** One step of the backward schedule: a single node, or one
+     * patch row of a conv group run as one
+     * splitConv2dBackwardPatches call over @c layout. */
+    struct BackwardUnit
+    {
+        std::vector<NodeId> nodes;
+        std::optional<SplitConvLayout> layout;
+        int64_t last = -1; ///< latest topological position of a node
+    };
+
+    /** Order the backward units (see backward()). */
+    std::vector<BackwardUnit> backwardSchedule() const;
+
     const Graph &graph_;
     ParamStore &params_;
     std::vector<NodeId> topo_;
     /**
-     * topo_ grouped into dependency levels ("waves"): every node in a
-     * wave depends only on earlier waves, so nodes within one wave —
-     * e.g. the per-patch clones a Split-CNN transform creates — can
-     * run concurrently. Wave membership and in-wave order follow the
-     * topological order, independent of thread count.
+     * The schedule (computeExecutionSchedule): dependency levels
+     * ("waves") whose nodes depend only on earlier waves, so the
+     * nodes of a wave — e.g. the per-patch clones a Split-CNN
+     * transform creates — can run concurrently. Membership and order
+     * follow the topological order, independent of thread count.
      */
-    std::vector<std::vector<NodeId>> waves_;
+    std::vector<ExecutionWave> waves_;
+    /** Per tensor: how many node inputs read it (inference frees a
+     * value once they have all run). */
+    std::vector<int> readers_;
+    std::vector<BackwardUnit> backward_;
 };
 
 } // namespace scnn

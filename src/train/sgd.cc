@@ -25,15 +25,23 @@ Sgd::step(ParamStore &params)
     for (size_t p = 0; p < trainable_.size(); ++p) {
         if (!trainable_[p])
             continue;
-        Tensor &w = params.value(static_cast<ParamId>(p));
-        Tensor &g = params.grad(static_cast<ParamId>(p));
-        Tensor &v = velocity_[p];
-        const int64_t n = w.numel();
+        Tensor &wt = params.value(static_cast<ParamId>(p));
+        Tensor &gt = params.grad(static_cast<ParamId>(p));
+        Tensor &vt = velocity_[p];
+        SCNN_CHECK(gt.shape() == wt.shape() && vt.shape() == wt.shape(),
+                   "param " << p << ": value, gradient and velocity "
+                                 "shapes differ");
+        float *w = wt.data();
+        const float *g = gt.data();
+        float *v = vt.data();
+        const float lr = config_.lr;
+        const float mu = config_.momentum;
+        const float wd = config_.weight_decay;
+        const int64_t n = wt.numel();
         for (int64_t i = 0; i < n; ++i) {
-            const float grad =
-                g.at(i) + config_.weight_decay * w.at(i);
-            v.at(i) = config_.momentum * v.at(i) + grad;
-            w.at(i) -= config_.lr * v.at(i);
+            const float grad = g[i] + wd * w[i];
+            v[i] = mu * v[i] + grad;
+            w[i] -= lr * v[i];
         }
     }
 }
